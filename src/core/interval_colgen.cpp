@@ -1,6 +1,7 @@
 #include "core/interval_colgen.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -30,21 +31,39 @@ std::uint64_t tag_kind(std::uint64_t tag) { return tag >> 62; }
 std::uint64_t tag_a(std::uint64_t tag) { return (tag >> 31) & 0x7fffffffu; }
 std::uint64_t tag_b(std::uint64_t tag) { return tag & 0x7fffffffu; }
 
-bool family_suppressed(const platform::ReduceInstance& instance,
-                       IntervalFlowOracle::Family family,
-                       const IntervalSpace& sp, std::size_t interval_id,
-                       const graph::Edge& edge) {
-  auto [k, m] = sp.interval(interval_id);
-  // A singleton flowing into its own owner duplicates the local supply.
-  if (k == m && edge.dst == instance.participants[k]) return true;
-  if (interval_id == sp.full_interval_id()) {
-    // The complete result never usefully leaves its unique consumer.
-    const NodeId consumer = family == IntervalFlowOracle::Family::kReduce
-                                ? instance.target
-                                : instance.participants.back();
-    if (edge.src == consumer) return true;
+const Rational kPlusOne(1);
+const Rational kMinusOne(-1);
+
+/// Orders a column's terms by row; unused slots (row id -1) sort last.
+void sort_by_row(
+    std::array<std::pair<std::size_t, const Rational*>, 4>& terms) {
+  std::sort(terms.begin(), terms.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+}
+
+std::string family_name(IntervalFlowOracle::Family family) {
+  return family == IntervalFlowOracle::Family::kReduce ? "reduce" : "prefix";
+}
+
+/// The merge-capable nodes of the model: `requested`, or the participants
+/// when it is empty. A repeated node would get a second compute row and a
+/// second copy of every cons column, so it is rejected like a bad id.
+std::vector<NodeId> resolve_compute_nodes(
+    const platform::ReduceInstance& instance,
+    IntervalFlowOracle::Family family, std::vector<NodeId> requested) {
+  if (requested.empty()) requested = instance.participants;
+  std::vector<char> seen(instance.platform.num_nodes(), 0);
+  for (NodeId n : requested) {
+    if (n >= instance.platform.num_nodes()) {
+      throw std::invalid_argument(family_name(family) + ": bad compute node");
+    }
+    if (seen[n]) {
+      throw std::invalid_argument(family_name(family) +
+                                  ": duplicate compute node");
+    }
+    seen[n] = 1;
   }
-  return false;
+  return requested;
 }
 
 }  // namespace
@@ -55,7 +74,8 @@ IntervalFlowOracle::IntervalFlowOracle(
     : instance_(instance),
       family_(family),
       sp_(instance.participants.size()),
-      compute_nodes_(std::move(compute_nodes)) {
+      compute_nodes_(
+          resolve_compute_nodes(instance, family, std::move(compute_nodes))) {
   const auto& graph = instance_.platform.graph();
   is_compute_.assign(graph.num_nodes(), 0);
   for (NodeId n : compute_nodes_) is_compute_[n] = 1;
@@ -73,8 +93,8 @@ IntervalFlowOracle::IntervalFlowOracle(
     node_unit_d_[n] = node_unit_[n].to_double();
   }
 
-  // Presence tables: suppression is decided once, here; everything absent
-  // until build_master seeds it or the driver reports an append.
+  // Presence tables: suppression is decided once, here; every other column
+  // is absent until a build materializes it or the driver reports an append.
   send_var_.assign(sp_.num_intervals(),
                    std::vector<std::size_t>(graph.num_edges(), kAbsent));
   std::size_t sends = 0;
@@ -93,42 +113,13 @@ IntervalFlowOracle::IntervalFlowOracle(
                         is_compute_[n] ? kAbsent : kSuppressed);
   }
   total_columns_ = sends + compute_nodes_.size() * sp_.num_tasks() + 1;
-}
 
-bool IntervalFlowOracle::suppressed(std::size_t interval_id,
-                                    const graph::Edge& edge) const {
-  return family_suppressed(instance_, family_, sp_, interval_id, edge);
-}
-
-std::size_t IntervalFlowOracle::full_model_columns(
-    const platform::ReduceInstance& instance, Family family,
-    std::size_t num_compute_nodes) {
-  const IntervalSpace sp(instance.participants.size());
-  const auto& graph = instance.platform.graph();
-  std::size_t sends = 0;
-  for (std::size_t iv = 0; iv < sp.num_intervals(); ++iv) {
-    for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-      if (!family_suppressed(instance, family, sp, iv, graph.edge(e))) {
-        ++sends;
-      }
-    }
-  }
-  return sends + num_compute_nodes * sp.num_tasks() + 1;
-}
-
-lp::Model IntervalFlowOracle::build_master(
-    std::vector<std::pair<std::size_t, EdgeId>> send_seed,
-    std::vector<std::pair<NodeId, std::size_t>> cons_seed) {
-  const auto& graph = instance_.platform.graph();
-  Model model;
-
-  // --- Row skeleton: the COMPLETE row set of the full model, ENUMERATED in
-  // exactly the dense builder's order and names but not materialized — rows
-  // get full row ids into row_specs_, and only the ones touched by seed
-  // columns below land in the master (the colgen driver activates the rest
-  // lazily; see the header comment). Emission follows the FULL variable
-  // pattern — a row whose support is entirely absent from the master must
-  // still be priceable, or the oracle's dual lookups would misindex.
+  // --- Row skeleton: every row of the model in full-row order — one-port
+  // out/in per node (paper eq. 2-3 via eq. 8), compute per compute node
+  // (eq. 7 via eq. 9), then conservation per (interval, node) (eq. 10) with
+  // the family's sink rows in place (eq. 11). A row exists when some column
+  // of the FULL model has support in it, so a row whose columns are all
+  // absent from a master still has a dual to price them with.
   auto add_row = [&](Sense sense, Rational rhs, std::string name) {
     row_specs_.push_back({std::move(name), sense, std::move(rhs)});
     return row_specs_.size() - 1;
@@ -161,7 +152,6 @@ lp::Model IntervalFlowOracle::build_master(
   }
   conserve_row_.assign(sp_.num_intervals(),
                        std::vector<std::size_t>(graph.num_nodes(), kNoRow));
-  std::vector<std::size_t> sink_rows;
   for (std::size_t iv = 0; iv < sp_.num_intervals(); ++iv) {
     auto [k, m] = sp_.interval(iv);
     for (NodeId node = 0; node < graph.num_nodes(); ++node) {
@@ -203,11 +193,74 @@ lp::Model IntervalFlowOracle::build_master(
       }
       conserve_row_[iv][node] =
           add_row(Sense::kEqual, Rational(0), std::move(name));
-      if (sink) sink_rows.push_back(conserve_row_[iv][node]);
+      if (sink) sink_rows_.push_back(conserve_row_[iv][node]);
     }
   }
+}
 
-  // --- Seed columns, deterministic order; then TP. ------------------------
+bool IntervalFlowOracle::suppressed(std::size_t interval_id,
+                                    const graph::Edge& edge) const {
+  auto [k, m] = sp_.interval(interval_id);
+  // A singleton flowing into its own owner duplicates the local supply.
+  if (k == m && edge.dst == instance_.participants[k]) return true;
+  if (interval_id == sp_.full_interval_id()) {
+    // The complete result never usefully leaves its unique consumer.
+    const NodeId consumer = family_ == Family::kReduce
+                                ? instance_.target
+                                : instance_.participants.back();
+    if (edge.src == consumer) return true;
+  }
+  return false;
+}
+
+lp::Model IntervalFlowOracle::build_full_model() {
+  const auto& graph = instance_.platform.graph();
+  Model model;
+  for (const lp::GeneratedRow& spec : row_specs_) {
+    model.add_constraint(LinearExpr{}, spec.sense, spec.rhs, spec.name);
+  }
+  // Full row ids are model row ids here, so every column goes straight in,
+  // through one reused entry buffer.
+  std::vector<std::pair<RowId, Rational>> rows;
+  auto append = [&](std::string name, const Support& support,
+                    std::uint64_t tag) {
+    rows.clear();
+    for (const auto& [row, coeff] : support) {
+      if (row == kNoRow) break;
+      rows.emplace_back(RowId{row}, *coeff);
+    }
+    register_var(tag,
+                 model.add_column(std::move(name), Rational(0), rows).index);
+  };
+  for (std::size_t iv = 0; iv < sp_.num_intervals(); ++iv) {
+    for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+      if (send_var_[iv][e] == kSuppressed) continue;
+      append(send_name(iv, e), send_support(iv, e),
+             make_tag(kSendTag, iv, e));
+    }
+  }
+  for (NodeId node : compute_nodes_) {
+    for (std::size_t task = 0; task < sp_.num_tasks(); ++task) {
+      append(cons_name(node, task), cons_support(node, task),
+             make_tag(kConsTag, node, task));
+    }
+  }
+  rows.clear();
+  for (const auto& [row, coeff] : tp_entries()) {
+    rows.emplace_back(RowId{row}, coeff);
+  }
+  register_var(make_tag(kTpTag, 0, 0),
+               model.add_column("TP", Rational(1), rows).index);
+  return model;
+}
+
+lp::Model IntervalFlowOracle::build_master(
+    std::vector<std::pair<std::size_t, EdgeId>> send_seed,
+    std::vector<std::pair<NodeId, std::size_t>> cons_seed) {
+  const auto& graph = instance_.platform.graph();
+  Model model;
+
+  // Seed columns in deterministic order; then TP.
   std::sort(send_seed.begin(), send_seed.end());
   send_seed.erase(std::unique(send_seed.begin(), send_seed.end()),
                   send_seed.end());
@@ -257,56 +310,51 @@ lp::Model IntervalFlowOracle::build_master(
   GeneratedColumn tp;
   tp.name = "TP";
   tp.objective = Rational(1);
+  tp.entries = tp_entries();
   tp.tag = make_tag(kTpTag, 0, 0);
-  for (std::size_t row : sink_rows) {
-    tp.entries.emplace_back(row, Rational(-1));
-  }
   append(tp);
   return model;
 }
 
-std::vector<std::pair<std::size_t, Rational>>
-IntervalFlowOracle::send_entries(std::size_t interval_id, EdgeId e) const {
+IntervalFlowOracle::Support IntervalFlowOracle::send_support(
+    std::size_t interval_id, EdgeId e) const {
   const auto& edge = instance_.platform.graph().edge(e);
-  std::vector<std::pair<std::size_t, Rational>> entries;
-  entries.reserve(4);
-  if (op_out_row_[edge.src] != kNoRow) {
-    entries.emplace_back(op_out_row_[edge.src], edge_unit_[e]);
-  }
-  if (op_in_row_[edge.dst] != kNoRow) {
-    entries.emplace_back(op_in_row_[edge.dst], edge_unit_[e]);
-  }
-  if (conserve_row_[interval_id][edge.dst] != kNoRow) {
-    entries.emplace_back(conserve_row_[interval_id][edge.dst], Rational(1));
-  }
-  if (conserve_row_[interval_id][edge.src] != kNoRow) {
-    entries.emplace_back(conserve_row_[interval_id][edge.src], Rational(-1));
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return entries;
+  Support support{{{op_out_row_[edge.src], &edge_unit_[e]},
+                   {op_in_row_[edge.dst], &edge_unit_[e]},
+                   {conserve_row_[interval_id][edge.dst], &kPlusOne},
+                   {conserve_row_[interval_id][edge.src], &kMinusOne}}};
+  sort_by_row(support);
+  return support;
 }
 
-std::vector<std::pair<std::size_t, Rational>>
-IntervalFlowOracle::cons_entries(NodeId node, std::size_t task) const {
+IntervalFlowOracle::Support IntervalFlowOracle::cons_support(
+    NodeId node, std::size_t task) const {
   auto [k, l, m] = sp_.task(task);
+  Support support{
+      {{compute_row_[node], &node_unit_[node]},
+       {conserve_row_[sp_.interval_id(k, m)][node], &kPlusOne},
+       {conserve_row_[sp_.interval_id(k, l)][node], &kMinusOne},
+       {conserve_row_[sp_.interval_id(l + 1, m)][node], &kMinusOne}}};
+  sort_by_row(support);
+  return support;
+}
+
+std::vector<std::pair<std::size_t, Rational>> IntervalFlowOracle::entries(
+    const Support& support) {
+  std::vector<std::pair<std::size_t, Rational>> out;
+  out.reserve(support.size());
+  for (const auto& [row, coeff] : support) {
+    if (row == kNoRow) break;
+    out.emplace_back(row, *coeff);
+  }
+  return out;
+}
+
+std::vector<std::pair<std::size_t, Rational>> IntervalFlowOracle::tp_entries()
+    const {
   std::vector<std::pair<std::size_t, Rational>> entries;
-  entries.reserve(4);
-  entries.emplace_back(compute_row_[node], node_unit_[node]);
-  if (conserve_row_[sp_.interval_id(k, m)][node] != kNoRow) {
-    entries.emplace_back(conserve_row_[sp_.interval_id(k, m)][node],
-                         Rational(1));
-  }
-  if (conserve_row_[sp_.interval_id(k, l)][node] != kNoRow) {
-    entries.emplace_back(conserve_row_[sp_.interval_id(k, l)][node],
-                         Rational(-1));
-  }
-  if (conserve_row_[sp_.interval_id(l + 1, m)][node] != kNoRow) {
-    entries.emplace_back(conserve_row_[sp_.interval_id(l + 1, m)][node],
-                         Rational(-1));
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  entries.reserve(sink_rows_.size());
+  for (std::size_t row : sink_rows_) entries.emplace_back(row, Rational(-1));
   return entries;
 }
 
@@ -334,7 +382,7 @@ lp::GeneratedColumn IntervalFlowOracle::make_send(std::size_t interval_id,
   GeneratedColumn gc;
   gc.name = send_name(interval_id, e);
   gc.objective = Rational(0);
-  gc.entries = send_entries(interval_id, e);
+  gc.entries = entries(send_support(interval_id, e));
   gc.tag = make_tag(kSendTag, interval_id, e);
   return gc;
 }
@@ -344,7 +392,7 @@ lp::GeneratedColumn IntervalFlowOracle::make_cons(NodeId node,
   GeneratedColumn gc;
   gc.name = cons_name(node, task);
   gc.objective = Rational(0);
-  gc.entries = cons_entries(node, task);
+  gc.entries = entries(cons_support(node, task));
   gc.tag = make_tag(kConsTag, node, task);
   return gc;
 }
@@ -635,68 +683,6 @@ void IntervalFlowOracle::materialize_all(
   }
 }
 
-std::optional<lp::ExactSolution> IntervalFlowOracle::try_solve(
-    const platform::ReduceInstance& instance, Family family,
-    const std::vector<NodeId>& compute_nodes, ColGenMode mode,
-    std::size_t min_columns, const lp::ColGenOptions& colgen_options,
-    const lp::ExactSolver& solver, lp::SolveContext& context,
-    const std::function<IntervalSeeds()>& heuristic_seeds,
-    const ReduceSolution* previous, ReduceSolution& out) {
-  const bool use_colgen =
-      mode == ColGenMode::kAlways ||
-      (mode == ColGenMode::kAuto &&
-       full_model_columns(instance, family, compute_nodes.size()) >=
-           min_columns);
-  if (!use_colgen) return std::nullopt;
-
-  IntervalSeeds seeds = heuristic_seeds();
-  IntervalFlowOracle oracle(instance, family, compute_nodes);
-  if (previous &&
-      previous->num_participants == instance.participants.size()) {
-    // The previous tables are sized (and id-keyed) by the OLD platform; on
-    // a mutated one, ids past the current ranges are dropped and surviving
-    // ids may denote remapped entities — both only degrade the seed, never
-    // correctness (the basis-name seeding below is the id-stable part, and
-    // every solution is certified regardless).
-    const std::size_t max_iv =
-        std::min(previous->send.size(), oracle.sp_.num_intervals());
-    for (std::size_t iv = 0; iv < max_iv; ++iv) {
-      const std::size_t max_e = std::min<std::size_t>(
-          previous->send[iv].size(), instance.platform.num_edges());
-      for (EdgeId e = 0; e < max_e; ++e) {
-        if (!previous->send[iv][e].is_zero()) seeds.send.emplace_back(iv, e);
-      }
-    }
-    const std::size_t max_n = std::min<std::size_t>(
-        previous->cons.size(), instance.platform.num_nodes());
-    for (NodeId n = 0; n < max_n; ++n) {
-      const std::size_t max_t =
-          std::min(previous->cons[n].size(), oracle.sp_.num_tasks());
-      for (std::size_t t = 0; t < max_t; ++t) {
-        if (!previous->cons[n][t].is_zero()) seeds.cons.emplace_back(n, t);
-      }
-    }
-    // The basis snapshot names columns the solution tables cannot reveal
-    // (degenerate basics at zero); the master must contain them or the
-    // warm basis maps onto a singular selection.
-    std::vector<std::string> basis_names;
-    for (const auto& entry : previous->lp_basis.entries) {
-      if (entry.kind == lp::BasisColumn::Kind::kStructural &&
-          !entry.bound_row) {
-        basis_names.push_back(entry.name);
-      }
-    }
-    oracle.seed_hints_from_names(basis_names, seeds.send, seeds.cons);
-  }
-  lp::Model master = oracle.build_master(std::move(seeds));
-  lp::ExactSolution sol =
-      solver.solve_colgen(master, oracle, colgen_options, &context);
-  if (sol.status == lp::SolveStatus::kOptimal) {
-    oracle.extract(sol.primal, out);
-  }
-  return sol;
-}
-
 void IntervalFlowOracle::extract(const std::vector<Rational>& primal,
                                  ReduceSolution& out) const {
   const auto& graph = instance_.platform.graph();
@@ -719,6 +705,100 @@ void IntervalFlowOracle::extract(const std::vector<Rational>& primal,
         break;
     }
   }
+}
+
+namespace {
+
+/// Warm-start seeds from a previous solution: its support, and the
+/// structural columns of its basis snapshot.
+void add_warm_seeds(const IntervalFlowOracle& oracle,
+                    const platform::ReduceInstance& instance,
+                    const ReduceSolution& previous, IntervalSeeds& seeds) {
+  if (previous.num_participants != instance.participants.size()) return;
+  const IntervalSpace& sp = oracle.space();
+  // The previous tables are sized (and id-keyed) by the OLD platform; on a
+  // mutated one, ids past the current ranges are dropped and surviving ids
+  // may denote remapped entities — both only degrade the seed, never
+  // correctness (the basis-name seeding below is the id-stable part, and
+  // every solution is certified regardless).
+  const std::size_t max_iv = std::min(previous.send.size(), sp.num_intervals());
+  for (std::size_t iv = 0; iv < max_iv; ++iv) {
+    const std::size_t max_e = std::min<std::size_t>(
+        previous.send[iv].size(), instance.platform.num_edges());
+    for (EdgeId e = 0; e < max_e; ++e) {
+      if (!previous.send[iv][e].is_zero()) seeds.send.emplace_back(iv, e);
+    }
+  }
+  const std::size_t max_n = std::min<std::size_t>(
+      previous.cons.size(), instance.platform.num_nodes());
+  for (NodeId n = 0; n < max_n; ++n) {
+    const std::size_t max_t =
+        std::min(previous.cons[n].size(), sp.num_tasks());
+    for (std::size_t t = 0; t < max_t; ++t) {
+      if (!previous.cons[n][t].is_zero()) seeds.cons.emplace_back(n, t);
+    }
+  }
+  // The basis snapshot names columns the solution tables cannot reveal
+  // (degenerate basics at zero); the master must contain them or the warm
+  // basis maps onto a singular selection.
+  std::vector<std::string> basis_names;
+  for (const auto& entry : previous.lp_basis.entries) {
+    if (entry.kind == lp::BasisColumn::Kind::kStructural && !entry.bound_row) {
+      basis_names.push_back(entry.name);
+    }
+  }
+  oracle.seed_hints_from_names(basis_names, seeds.send, seeds.cons);
+}
+
+}  // namespace
+
+ReduceSolution solve_interval_lp(
+    const platform::ReduceInstance& instance, IntervalFlowOracle::Family family,
+    const ReduceLpOptions& options,
+    const std::function<IntervalSeeds()>& heuristic_seeds,
+    const ReduceSolution* previous) {
+  IntervalFlowOracle oracle(instance, family, options.compute_nodes);
+  lp::ExactSolver solver(options.solver);
+  lp::SolveContext context;
+  if (previous) context.warm = previous->lp_basis;
+
+  const bool use_colgen =
+      options.colgen == ColGenMode::kAlways ||
+      (options.colgen == ColGenMode::kAuto &&
+       oracle.total_columns() >= options.colgen_min_columns);
+  lp::ExactSolution sol;
+  if (use_colgen) {
+    IntervalSeeds seeds = heuristic_seeds();
+    if (previous) add_warm_seeds(oracle, instance, *previous, seeds);
+    lp::Model master = oracle.build_master(std::move(seeds));
+    sol = solver.solve_colgen(master, oracle, options.colgen_options,
+                              &context);
+  } else {
+    const lp::Model model = oracle.build_full_model();
+    sol = solver.solve(model, &context);
+  }
+  if (sol.status != lp::SolveStatus::kOptimal) {
+    throw std::runtime_error(family_name(family) +
+                             " LP did not reach optimality: " +
+                             lp::to_string(sol.status));
+  }
+
+  ReduceSolution out;
+  oracle.extract(sol.primal, out);
+  out.certified = sol.certified;
+  out.lp_method = sol.method;
+  out.lp_pivots = sol.float_iterations + sol.exact_iterations;
+  out.lp_basis = std::move(context.warm);
+  out.warm_started = sol.warm_started;
+  out.lp_colgen_rounds = sol.colgen_rounds;
+  out.lp_columns_generated = sol.colgen_columns_generated;
+  out.lp_columns_total = sol.colgen_columns_total;
+  out.lp_rows_active = sol.colgen_rows_active;
+  out.lp_rows_total = sol.colgen_rows_total;
+  out.lp_stab_rounds = sol.colgen_stab_rounds;
+  out.lp_phase_times = sol.phase_times;
+  if (options.prune_cycles) out.prune_cycles(instance);
+  return out;
 }
 
 }  // namespace ssco::core

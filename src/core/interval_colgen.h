@@ -1,49 +1,48 @@
 #pragma once
-// Column generation for the reduce-family LPs (SSR Sec. 4.2 and the
-// parallel-prefix extension of Sec. 6).
+// The reduce-family steady-state LP — SSR (paper Sec. 4.2) and its
+// parallel-prefix extension (Sec. 6) — defined once, by IntervalFlowOracle.
 //
-// Both formulations share the quadratic variable space that makes large-N
-// instances expensive to materialize: one send variable per (adjacent
-// interval, edge) — O(N^2 * |E|) of them — plus merge-task placements
-// cons(node, T(k,l,m)). Their optimum touches a few hundred. This module
-// is the structural PricingOracle the colgen driver (lp/colgen.h) runs
-// against:
+// Both programs share one variable space: a send variable per (adjacent
+// interval, edge) — O(N^2 * |E|) of them — and merge-task placements
+// cons(node, T(k,l,m)), under the same one-port, compute and interval
+// conservation rows. They differ only in the sink rule (reduce: v[0,N-1]
+// absorbed at the target; prefix: every v[0,i] absorbed at participant i)
+// and the matching suppression rule, which are parameters of the oracle.
 //
-//  * build_master() ENUMERATES the complete row skeleton of the full model
-//    — identical names, senses and right-hand sides to the dense builders
-//    in reduce_lp.cpp / prefix_lp.cpp — but materializes only the rows the
-//    seed columns (heuristic reduction-tree plans, the support of a
-//    previous solution) and the TP column touch: the oracle is also a ROW
-//    generator (full_row_count/row_spec), so the colgen driver activates
-//    the remaining rows lazily as priced-in columns first reference them.
-//    Every skeleton row is zero-feasible (<= with rhs 1, == with rhs 0),
-//    which is what lets a master solution extend to the full model with
-//    zeros over absent columns AND inactive rows, and lets master duals —
-//    lifted with zeros — price absent columns;
-//  * price() / price_exact() walk the implicit (interval, edge) send grid
-//    and the (node, task) cons grid in one structured pass, deriving each
-//    column's four-row support from the skeleton instead of from any
-//    materialized matrix;
-//  * generated columns carry exactly the names the dense builders would
-//    have used, so warm-start snapshots map across dense and colgen builds
-//    interchangeably.
+// The constructor enumerates the full row skeleton (names, senses,
+// right-hand sides); every column's support is derived from it. Two builds
+// read that one definition:
 //
-// The two families differ only in the sink rule (reduce: v[0,N-1] absorbed
-// at the target; prefix: every v[0,i] absorbed at participant i) and the
-// matching suppression rule, parameterized here rather than duplicated.
-// Gossip and scatter stay on the dense path by design: their column count
-// is linear in sources x edges, so a restricted master would only add
-// rounds (measured in DESIGN.md "Column generation").
+//  * build_full_model() materializes every row, then every column — the
+//    dense model that build_reduce_lp / build_prefix_lp return;
+//  * build_master() materializes only the seed columns (heuristic plans,
+//    the support of a previous solution), the TP column and the rows they
+//    touch — the restricted master of column generation (lp/colgen.h). The
+//    oracle is also the row generator (full_row_count/row_spec): the colgen
+//    driver activates further rows as priced-in columns first reference
+//    them. Every skeleton row is zero-feasible (<= with rhs 1, == with
+//    rhs 0), so a master solution extends to the full model with zeros over
+//    absent columns and inactive rows, and master duals lifted with zeros
+//    price absent columns; price() / price_exact() walk the implicit send
+//    and cons grids in one structured pass.
+//
+// Dense and colgen models therefore agree on every name and coefficient by
+// construction, and warm-start snapshots map across them. Gossip and
+// scatter keep their own dense builders: their column count is linear in
+// sources x edges, so a restricted master would only add rounds (measured
+// in DESIGN.md "Column generation").
 
+#include <array>
 #include <cstddef>
 #include <functional>
-#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/intervals.h"
 #include "core/reduce_solution.h"
 #include "lp/colgen.h"
+#include "lp/exact_solver.h"
 #include "platform/paper_instances.h"
 
 namespace ssco::core {
@@ -55,6 +54,27 @@ enum class ColGenMode {
   kAuto,
   kAlways,
   kNever,
+};
+
+/// Options of the reduce-family solvers (solve_reduce, and solve_prefix
+/// through the PrefixLpOptions alias).
+struct ReduceLpOptions {
+  lp::ExactSolverOptions solver;
+  bool prune_cycles = true;
+  /// Nodes allowed to execute merge tasks; empty = instance participants.
+  /// Routers forward but do not compute.
+  std::vector<NodeId> compute_nodes;
+  /// Delayed column generation over the quadratic send/cons space: the
+  /// restricted master is seeded from the family's heuristic plan (reduce:
+  /// the flat/chain/binomial reduction trees of baselines/reduce_trees.h;
+  /// prefix: a chain-of-prefixes plan) plus the support of `previous` on a
+  /// warm re-solve, and grows by pricing until one exact sweep certifies
+  /// the COMPLETE paper LP. kAuto switches it on once the full model has
+  /// `colgen_min_columns` columns; the certified objective is bit-identical
+  /// either way.
+  ColGenMode colgen = ColGenMode::kAuto;
+  std::size_t colgen_min_columns = 8192;
+  lp::ColGenOptions colgen_options;
 };
 
 /// Seed hints for a restricted master: (interval, edge) send pairs and
@@ -69,15 +89,23 @@ class IntervalFlowOracle final : public lp::PricingOracle {
   enum class Family { kReduce, kPrefix };
 
   /// `instance` must outlive the oracle and already be validated by the
-  /// caller (check_instance of the respective builder); `compute_nodes`
-  /// resolved the same way the dense builder resolves them.
+  /// caller (check_instance of the respective solver). `compute_nodes`
+  /// empty means the participants; an out-of-range or repeated node throws
+  /// std::invalid_argument.
   IntervalFlowOracle(const platform::ReduceInstance& instance, Family family,
                      std::vector<NodeId> compute_nodes);
 
-  /// Builds the restricted master: the full row skeleton over the seed
-  /// columns only, plus the TP column. Seed hints are deduplicated and
-  /// sorted (deterministic master layout); suppressed pairs are dropped;
-  /// out-of-range hints throw. Call exactly once.
+  /// The dense model: every skeleton row in full-row order, then every
+  /// column — sends in (interval, edge) order, cons in compute-node x task
+  /// order, then TP. Registers every column, so extract() reads its primal.
+  /// Call at most once, instead of build_master.
+  [[nodiscard]] lp::Model build_full_model();
+
+  /// Builds the restricted master: the seed columns, the TP column and the
+  /// skeleton rows they touch. Seed hints are deduplicated and sorted
+  /// (deterministic master layout); suppressed pairs are dropped;
+  /// out-of-range hints throw. Call at most once, instead of
+  /// build_full_model.
   [[nodiscard]] lp::Model build_master(
       std::vector<std::pair<std::size_t, EdgeId>> send_seed,
       std::vector<std::pair<NodeId, std::size_t>> cons_seed);
@@ -89,12 +117,11 @@ class IntervalFlowOracle final : public lp::PricingOracle {
   [[nodiscard]] std::size_t total_columns() const override {
     return total_columns_;
   }
-  /// Row generation: the full row skeleton is enumerated (names, senses,
-  /// right-hand sides) but NOT materialized by build_master — the master
-  /// starts with only the rows its seed columns and the TP column touch
-  /// (at n=256 that leaves ~10k conservation/one-port rows out), and the
-  /// colgen driver activates the rest lazily as priced-in columns first
-  /// reference them. All emitted column entries are in FULL row ids.
+  /// Row generation: build_master materializes only the skeleton rows its
+  /// seed columns and the TP column touch (at n=256 that leaves ~10k
+  /// conservation/one-port rows out), and the colgen driver activates the
+  /// rest lazily as priced-in columns first reference them. All emitted
+  /// column entries are in FULL row ids.
   [[nodiscard]] std::size_t full_row_count() const override {
     return row_specs_.size();
   }
@@ -121,7 +148,7 @@ class IntervalFlowOracle final : public lp::PricingOracle {
     par_ = parallel;
   }
 
-  /// Maps a master-space primal onto the solution tables (send, cons,
+  /// Maps a model-space primal onto the solution tables (send, cons,
   /// throughput); absent columns are zero.
   void extract(const std::vector<Rational>& primal, ReduceSolution& out) const;
 
@@ -137,40 +164,26 @@ class IntervalFlowOracle final : public lp::PricingOracle {
 
   [[nodiscard]] const IntervalSpace& space() const { return sp_; }
 
-  /// Columns of the full model, computed without building anything — the
-  /// kAuto policy check.
-  [[nodiscard]] static std::size_t full_model_columns(
-      const platform::ReduceInstance& instance, Family family,
-      std::size_t num_compute_nodes);
-
-  /// Shared column-generation dispatch of solve_reduce / solve_prefix.
-  /// Decides colgen vs dense from `mode` and the column threshold; when
-  /// colgen applies, seeds the master (`heuristic_seeds()` — a callback so
-  /// dense solves never pay the heuristic's Dijkstra runs — plus, on a
-  /// warm re-solve, the previous solution's support and basis names), runs
-  /// ExactSolver::solve_colgen with `context`, and extracts the solution
-  /// tables into `out` (only when optimal). Returns the ExactSolution, or
-  /// nullopt when the caller should take its dense path; the caller owns
-  /// the non-optimal error contract — check the returned status.
-  [[nodiscard]] static std::optional<lp::ExactSolution> try_solve(
-      const platform::ReduceInstance& instance, Family family,
-      const std::vector<NodeId>& compute_nodes, ColGenMode mode,
-      std::size_t min_columns, const lp::ColGenOptions& colgen_options,
-      const lp::ExactSolver& solver, lp::SolveContext& context,
-      const std::function<IntervalSeeds()>& heuristic_seeds,
-      const ReduceSolution* previous, ReduceSolution& out);
-
  private:
   static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
   static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
   static constexpr std::size_t kSuppressed = static_cast<std::size_t>(-2);
 
+  /// A column's support in the skeleton: (full row, coefficient) terms in
+  /// increasing row order; slots without a row hold kNoRow and sort last.
+  /// Fixed-size, so the dense build allocates nothing per column.
+  using Support = std::array<std::pair<std::size_t, const Rational*>, 4>;
+
+  /// True when the send column (interval, edge) is provably useless.
   [[nodiscard]] bool suppressed(std::size_t interval_id,
                                 const graph::Edge& edge) const;
-  [[nodiscard]] std::vector<std::pair<std::size_t, Rational>> send_entries(
-      std::size_t interval_id, EdgeId e) const;
-  [[nodiscard]] std::vector<std::pair<std::size_t, Rational>> cons_entries(
-      NodeId node, std::size_t task) const;
+  [[nodiscard]] Support send_support(std::size_t interval_id, EdgeId e) const;
+  [[nodiscard]] Support cons_support(NodeId node, std::size_t task) const;
+  /// The present terms of `support`, as GeneratedColumn entries.
+  [[nodiscard]] static std::vector<std::pair<std::size_t, Rational>> entries(
+      const Support& support);
+  [[nodiscard]] std::vector<std::pair<std::size_t, Rational>> tp_entries()
+      const;
   [[nodiscard]] std::string send_name(std::size_t interval_id, EdgeId e) const;
   [[nodiscard]] std::string cons_name(NodeId node, std::size_t task) const;
   [[nodiscard]] lp::GeneratedColumn make_send(std::size_t interval_id,
@@ -193,14 +206,16 @@ class IntervalFlowOracle final : public lp::PricingOracle {
   std::vector<std::size_t> op_in_row_;
   std::vector<std::size_t> compute_row_;
   std::vector<std::vector<std::size_t>> conserve_row_;  // [interval][node]
+  /// Rows absorbing the result at rate TP (the family's sink rule).
+  std::vector<std::size_t> sink_rows_;
   /// Name/sense/rhs of every full-model row, indexed by full row id.
   std::vector<lp::GeneratedRow> row_specs_;
   /// Full row id behind each master row of the freshly built master (the
   /// rows the seed columns and TP touch), in master row order.
   std::vector<std::size_t> master_row_origins_;
 
-  // Column registry: master var index per implicit column, or kAbsent /
-  // kSuppressed; identity tags per master var (for extract()).
+  // Column registry: model var index per implicit column, or kAbsent /
+  // kSuppressed; identity tags per model var (for extract()).
   std::vector<std::vector<std::size_t>> send_var_;  // [interval][edge]
   std::vector<std::vector<std::size_t>> cons_var_;  // [node][task]
   std::vector<std::uint64_t> var_tags_;
@@ -212,5 +227,19 @@ class IntervalFlowOracle final : public lp::PricingOracle {
   std::vector<Rational> node_unit_;
   std::vector<double> node_unit_d_;
 };
+
+/// The one solve path of solve_reduce / solve_prefix, for an instance the
+/// caller has validated. Builds the oracle once; takes the dense path
+/// (build_full_model) under kNever or below the kAuto column threshold,
+/// else column generation seeded by `heuristic_seeds()` — a callback, so
+/// dense solves never pay the heuristic — plus, on a warm re-solve, the
+/// support and basis names of `previous`. Throws std::runtime_error when
+/// the LP does not reach optimality; otherwise fills the solution tables
+/// and the lp_* telemetry, and prunes cycles when the options ask.
+[[nodiscard]] ReduceSolution solve_interval_lp(
+    const platform::ReduceInstance& instance, IntervalFlowOracle::Family family,
+    const ReduceLpOptions& options,
+    const std::function<IntervalSeeds()>& heuristic_seeds,
+    const ReduceSolution* previous);
 
 }  // namespace ssco::core

@@ -9,32 +9,24 @@
 // law, but instead of a single sink (v[0,N-1] at the target) every prefix
 // v[0,i] is demanded at rate TP by participant i. Partial values are shared
 // between prefixes exactly as the associativity allows — e.g. one copy of
-// v[0,3] can be delivered to P_3 while another is merged into v[0,5].
+// v[0,3] can be delivered to P_3 while another is merged into v[0,5]. The
+// model is the prefix family of IntervalFlowOracle (core/interval_colgen.h).
 //
 // This module provides the optimal-throughput computation (LP + exact
 // certificate); schedule realization for prefix (a DAG rather than a tree
 // decomposition) is out of the paper's scope and ours.
 
+#include <string>
+
 #include "core/interval_colgen.h"
 #include "core/reduce_solution.h"
-#include "lp/colgen.h"
-#include "lp/exact_solver.h"
 
 namespace ssco::core {
 
-struct PrefixLpOptions {
-  lp::ExactSolverOptions solver;
-  bool prune_cycles = true;
-  /// Nodes allowed to compute; empty = participants.
-  std::vector<NodeId> compute_nodes;
-  /// Column generation over the shared reduce-family variable space — see
-  /// ReduceLpOptions; the prefix master is seeded from a chain-of-prefixes
-  /// plan (v[0,i-1] forwarded participant to participant, merged on
-  /// arrival) plus the support of `previous`.
-  ColGenMode colgen = ColGenMode::kAuto;
-  std::size_t colgen_min_columns = 8192;
-  lp::ColGenOptions colgen_options;
-};
+/// The reduce-family options; under column generation the prefix master is
+/// seeded from a chain-of-prefixes plan (v[0,i-1] forwarded participant to
+/// participant, merged on arrival) plus the support of `previous`.
+using PrefixLpOptions = ReduceLpOptions;
 
 /// Result: a ReduceSolution-shaped table (send/cons/throughput). The
 /// conservation exclusions differ from reduce (prefix sinks), so use
@@ -46,6 +38,7 @@ struct PrefixLpOptions {
     const PrefixLpOptions& options = {},
     const ReduceSolution* previous = nullptr);
 
+/// The dense model: every row and every column of the prefix oracle.
 [[nodiscard]] lp::Model build_prefix_lp(
     const platform::ReduceInstance& instance,
     const PrefixLpOptions& options = {});

@@ -8,7 +8,9 @@
 // the completed-reduction rate TP, under one-port communication and
 // fully-overlapped single-CPU computation.
 //
-// Builder conventions (mechanical, optimum-preserving):
+// The model is the reduce family of IntervalFlowOracle
+// (core/interval_colgen.h), whose conventions are mechanical and
+// optimum-preserving:
 //  * s(Pi->Pj) and alpha(Pi) are substituted by their defining equalities
 //    (paper eq. 8/9), giving one-port and compute rows directly over
 //    send/cons variables;
@@ -18,28 +20,10 @@
 
 #include "core/interval_colgen.h"
 #include "core/reduce_solution.h"
-#include "lp/colgen.h"
-#include "lp/exact_solver.h"
 
 namespace ssco::core {
 
-struct ReduceLpOptions {
-  lp::ExactSolverOptions solver;
-  bool prune_cycles = true;
-  /// Nodes allowed to execute merge tasks; empty = instance participants.
-  std::vector<NodeId> compute_nodes;
-  /// Delayed column generation over the quadratic send/cons space
-  /// (core/interval_colgen.h): the restricted master is seeded from the
-  /// flat/chain/binomial reduction-tree plans (baselines/reduce_trees.h)
-  /// plus the support of `previous` on a warm re-solve, and grows by
-  /// pricing until one exact sweep certifies the COMPLETE paper LP. kAuto
-  /// switches it on once the full model exceeds `colgen_min_columns`
-  /// columns; the certified objective is bit-identical either way.
-  ColGenMode colgen = ColGenMode::kAuto;
-  std::size_t colgen_min_columns = 8192;
-  lp::ColGenOptions colgen_options;
-};
-
+/// The dense model: every row and every column of the reduce oracle.
 [[nodiscard]] lp::Model build_reduce_lp(
     const platform::ReduceInstance& instance,
     const ReduceLpOptions& options = {});

@@ -53,7 +53,8 @@ void check_instance(const ScatterInstance& instance) {
   }
 }
 
-ScatterVars declare_variables(const ScatterInstance& instance, Model& model) {
+ScatterVars declare_scatter_vars(const ScatterInstance& instance,
+                                 Model& model) {
   const auto& graph = instance.platform.graph();
   ScatterVars vars;
   vars.var_of.assign(instance.targets.size(),
@@ -81,7 +82,7 @@ lp::Model build_scatter_lp(const ScatterInstance& instance) {
   check_instance(instance);
   const auto& graph = instance.platform.graph();
   Model model;
-  ScatterVars vars = declare_variables(instance, model);
+  ScatterVars vars = declare_scatter_vars(instance, model);
 
   // One-port rows (paper eq. 2-3 with eq. 4 substituted): per node, the time
   // spent sending (resp. receiving) within one time-unit is at most 1.

@@ -137,8 +137,8 @@ class PricingOracle {
   /// entries are master row ids.
   [[nodiscard]] virtual std::size_t full_row_count() const { return 0; }
 
-  /// Spec of one full-model row, exactly as the dense builder would create
-  /// it (names keep warm starts portable across dense and colgen builds).
+  /// Spec of one full-model row, exactly as the dense model has it (names
+  /// keep warm starts portable across dense and colgen builds).
   /// Only called when full_row_count() != 0.
   [[nodiscard]] virtual GeneratedRow row_spec(std::size_t full_row) const {
     (void)full_row;

@@ -98,21 +98,15 @@ SolveStatus RevisedSimplex::dual_optimize(const std::vector<double>& cost,
   std::vector<Cand> cands;
   std::vector<std::size_t> flips;
   std::size_t degenerate_run = 0;
-  // Dual Devex: reference weights per basis POSITION. The leaving row is
-  // the most violating row in the weighted norm viol^2 / w; weights update
-  // from the FTRAN-transformed entering column, which the exchange computes
-  // anyway, so dual Devex is essentially free per pivot.
-  const bool devex = opt.pricing == PricingRule::kDevex;
-  std::vector<double> row_w(m_, 1.0);
 
   while (true) {
     if (!ok_) return SolveStatus::kIterationLimit;
     if (iterations >= opt.max_iterations) return SolveStatus::kIterationLimit;
     const bool bland = degenerate_run >= opt.bland_after;
 
-    // 1. Leaving row: the basic value violating [0, ub] the most — in the
-    // Devex-weighted norm unless degeneracy forced Bland mode (then: the
-    // violated row with the smallest column index).
+    // 1. Leaving row: the basic value violating [0, ub] the most — unless
+    // degeneracy forced Bland mode (then: the violated row with the smallest
+    // column index).
     std::size_t r = kNone;
     double worst = 0.0;
     for (std::size_t k = 0; k < m_; ++k) {
@@ -120,13 +114,9 @@ SolveStatus RevisedSimplex::dual_optimize(const std::vector<double>& cost,
       if (viol <= kFeasTol) continue;
       if (bland) {
         if (r == kNone || basis_[k] < basis_[r]) r = k;
-      } else {
-        const double score =
-            devex ? viol * viol / row_w[k] : viol;
-        if (r == kNone || score > worst) {
-          worst = score;
-          r = k;
-        }
+      } else if (r == kNone || viol > worst) {
+        worst = viol;
+        r = k;
       }
     }
     if (r == kNone) return SolveStatus::kOptimal;
@@ -232,21 +222,6 @@ SolveStatus RevisedSimplex::dual_optimize(const std::vector<double>& cost,
       if (lu_->updates() == 0) return SolveStatus::kIterationLimit;
       ok_ = refactor();
       continue;
-    }
-
-    if (devex && !bland) {
-      // Dual Devex weight update from the transformed entering column.
-      const double arq = work_[r];
-      const double wr_over = row_w[r] / (arq * arq);
-      for (std::size_t k = 0; k < m_; ++k) {
-        if (k == r || work_[k] == 0.0) continue;
-        const double cand = work_[k] * work_[k] * wr_over;
-        if (cand > row_w[k]) row_w[k] = cand;
-      }
-      row_w[r] = std::max(wr_over, 1.0);
-      if (wr_over > kDevexReset) {
-        std::fill(row_w.begin(), row_w.end(), 1.0);
-      }
     }
 
     const double target = below ? 0.0 : ub_[basis_[r]];

@@ -141,11 +141,6 @@ void RevisedSimplex::timed_btran(std::vector<double>& x) {
 SolveStatus RevisedSimplex::optimize(const std::vector<double>& cost,
                                      const SimplexOptions& opt,
                                      std::size_t& iterations) {
-  const bool devex = opt.pricing == PricingRule::kDevex;
-  if (devex) {
-    devex_w_.assign(num_cols_, 1.0);
-    recompute_reduced_costs(cost);
-  }
   candidates_.clear();  // stale under a different cost vector
   std::size_t degenerate_run = 0;
   while (true) {
@@ -153,26 +148,8 @@ SolveStatus RevisedSimplex::optimize(const std::vector<double>& cost,
     if (iterations >= opt.max_iterations) return SolveStatus::kIterationLimit;
     const bool bland = degenerate_run >= opt.bland_after;
 
-    std::size_t entering = kNone;
-    if (bland) {
-      compute_multipliers(cost);
-      entering = pick_bland(cost);
-      d_fresh_ = false;  // Bland pivots below bypass the update pass
-    } else if (devex) {
-      if (!d_fresh_) recompute_reduced_costs(cost);
-      entering = pick_devex();
-      if (entering == kNone && lu_->updates() > 0) {
-        // The updated reduced costs say optimal; confirm against a fresh
-        // factorization before believing them.
-        ok_ = refactor();
-        if (!ok_) return SolveStatus::kIterationLimit;
-        recompute_reduced_costs(cost);
-        entering = pick_devex();
-      }
-    } else {
-      compute_multipliers(cost);
-      entering = pick_dantzig(cost);
-    }
+    compute_multipliers(cost);
+    const std::size_t entering = bland ? pick_bland(cost) : pick_dantzig(cost);
     if (entering == kNone) return SolveStatus::kOptimal;
 
     // Pivot column through the basis inverse.
@@ -213,29 +190,14 @@ SolveStatus RevisedSimplex::optimize(const std::vector<double>& cost,
         }
       }
     }
-    if (leaving == kNone) {
-      if (devex && lu_->updates() > 0) {
-        // An unbounded verdict through a long eta file may be drift;
-        // re-derive everything from a fresh factorization and retry.
-        ok_ = refactor();
-        if (!ok_) return SolveStatus::kIterationLimit;
-        recompute_reduced_costs(cost);
-        continue;
-      }
-      return SolveStatus::kUnbounded;
-    }
+    if (leaving == kNone) return SolveStatus::kUnbounded;
 
     if (std::max(xb_[leaving], 0.0) <= kDegenTol) {
       ++degenerate_run;
     } else {
       degenerate_run = 0;
     }
-    if (devex && !bland) update_pricing(leaving, entering);
     pivot(leaving, entering);
-    if (devex && lu_->updates() == 0) {
-      // pivot() refactorized: reduced-cost drift resets alongside it.
-      recompute_reduced_costs(cost);
-    }
     ++iterations;
   }
 }
@@ -360,9 +322,8 @@ std::size_t RevisedSimplex::append_column(
   at_upper_.push_back(false);
   col_scale_.push_back(cs);
   appended_cols_.push_back(col);
-  // Pricing state is column-indexed and now undersized; the CSR mirror no
-  // longer covers the new entries. Both rebuild lazily on next use.
-  d_fresh_ = false;
+  // The candidate list and the CSR mirror no longer cover the new column;
+  // both rebuild lazily on next use.
   candidates_.clear();
   row_start_.clear();
   row_cols_.clear();
@@ -427,9 +388,8 @@ bool RevisedSimplex::append_row(Sense sense, const Rational& rhs) {
   xb_.push_back(eff == Sense::kEqual ? 0.0 : scaled);
   lu_->append_identity_row();
 
-  // Pricing state is column-indexed and now undersized; the CSR mirror no
-  // longer covers the new row. Both rebuild lazily on next use.
-  d_fresh_ = false;
+  // The candidate list and the CSR mirror no longer cover the new columns
+  // and row; both rebuild lazily on next use.
   candidates_.clear();
   row_start_.clear();
   row_cols_.clear();
@@ -444,40 +404,6 @@ void RevisedSimplex::compute_multipliers(const std::vector<double>& cost) {
   y_.assign(m_, 0.0);
   for (std::size_t k = 0; k < m_; ++k) y_[k] = cost[basis_[k]];
   timed_btran(y_);
-}
-
-void RevisedSimplex::recompute_reduced_costs(const std::vector<double>& cost) {
-  compute_multipliers(cost);
-  const auto t0 = Clock::now();
-  d_.assign(num_cols_, 0.0);
-  for (std::size_t j = 0; j < num_cols_; ++j) {
-    if (pos_of_col_[j] != kNone || barred_[j]) continue;
-    d_[j] = A_.dot_column(j, y_) - cost[j];
-  }
-  d_fresh_ = true;
-  times_.pricing_ns += ns_since(t0);
-}
-
-std::size_t RevisedSimplex::pick_devex() const {
-  const auto t0 = Clock::now();
-  // Maximize d_j^2 / w_j over eligible columns with d_j < -kEps; compare by
-  // cross-multiplication to keep the scan division-free.
-  std::size_t best = kNone;
-  double best_num = 0.0;
-  double best_w = 1.0;
-  for (std::size_t j = 0; j < num_cols_; ++j) {
-    if (pos_of_col_[j] != kNone || barred_[j]) continue;
-    const double d = d_[j];
-    if (d >= -kEps) continue;
-    const double num = d * d;
-    if (best == kNone || num * best_w > best_num * devex_w_[j]) {
-      best = j;
-      best_num = num;
-      best_w = devex_w_[j];
-    }
-  }
-  times_.pricing_ns += ns_since(t0);
-  return best;
 }
 
 std::size_t RevisedSimplex::pick_dantzig(const std::vector<double>& cost) {
@@ -563,8 +489,8 @@ std::size_t RevisedSimplex::pick_bland(const std::vector<double>& cost) {
 }
 
 void RevisedSimplex::ensure_row_mirror() {
-  // Built on first use: only the dual loop and Devex pricing walk the
-  // matrix row-wise, so a cold Dantzig solve never pays the O(nnz) copy.
+  // Built on first use: only the dual loop walks the matrix row-wise, so a
+  // cold primal solve never pays the O(nnz) copy.
   if (!row_start_.empty()) return;
   row_start_.assign(m_ + 1, 0);
   for (std::size_t j = 0; j < num_cols_; ++j) {
@@ -611,42 +537,6 @@ void RevisedSimplex::compute_pivot_row(const std::vector<double>& rho) {
       alpha_[col] += ri * vals[k];
     }
   }
-}
-
-void RevisedSimplex::update_pricing(std::size_t r, std::size_t e) {
-  // One BTRAN of the leaving unit vector gives the pivot row; a single
-  // row-major pass over its nonzeros then updates every affected reduced
-  // cost (d_j -= theta_d * alpha_rj) and Devex weight (w_j = max(w_j,
-  // (alpha_rj/alpha_rq)^2 w_q)) — columns the pivot row misses keep both
-  // unchanged, so the whole pricing refresh costs only the intersected
-  // part of the matrix.
-  rho_.assign(m_, 0.0);
-  rho_[r] = 1.0;
-  timed_btran(rho_);
-
-  const auto t0 = Clock::now();
-  compute_pivot_row(rho_);
-  const double arq = work_[r];
-  const double theta_d = d_[e] / arq;
-  const double wq_over = devex_w_[e] / (arq * arq);
-  for (std::size_t j : touched_cols_) {
-    if (pos_of_col_[j] != kNone || barred_[j] || j == e) continue;
-    const double arj = alpha_[j];
-    if (arj == 0.0) continue;
-    d_[j] -= theta_d * arj;
-    const double cand = arj * arj * wq_over;
-    if (cand > devex_w_[j]) devex_w_[j] = cand;
-  }
-  // The leaving column exits with alpha_r,leaving == 1 exactly.
-  const std::size_t leaving_col = basis_[r];
-  d_[leaving_col] = -theta_d;
-  devex_w_[leaving_col] = std::max(wq_over, 1.0);
-  d_[e] = 0.0;
-  if (wq_over > kDevexReset) {
-    // Reference framework drifted too far: restart it.
-    std::fill(devex_w_.begin(), devex_w_.end(), 1.0);
-  }
-  times_.pricing_ns += ns_since(t0);
 }
 
 void RevisedSimplex::pivot(std::size_t r, std::size_t e) {

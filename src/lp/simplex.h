@@ -94,8 +94,7 @@ struct BasisColumn {
 
 /// Wall-clock breakdown of one float solve, accumulated by the revised
 /// engine (the exact tableau leaves it zero). `pricing_ns` covers entering
-/// selection plus the pivot-row pass that maintains reduced costs and Devex
-/// weights; `factor_ns` is LU (re)factorization. The last two buckets are
+/// selection; `factor_ns` is LU (re)factorization. The last two buckets are
 /// filled by ExactSolver, not the engines: `certify_ns` is the exact
 /// certificate ladder (rational reconstruction + basis verification) and
 /// `pricing_sweep_ns` the column-generation pricing sweeps (float rounds
@@ -140,37 +139,18 @@ struct SimplexResult {
   SolvePhaseTimes phase_times;
 };
 
-/// Entering-variable selection policy of the double engine's primal loop
-/// (the dual loop mirrors it for the leaving-row choice). Both policies
-/// still fall back to Bland's rule after `bland_after` consecutive
-/// degenerate pivots — the anti-cycling guarantee is not a policy.
-///
-/// Measured guidance (DESIGN.md "Presolve & pricing"): the steady-state
-/// LPs here are so degenerate that every rule pays roughly the same
-/// basis-building pivot floor, so the cheap rotating scan wins end to end
-/// and is the default; Devex carries full reference-framework machinery
-/// (updated reduced costs, weight maintenance from the pivot row) for
-/// model classes where pricing quality, not degeneracy, limits the pivot
-/// count.
-enum class PricingRule {
-  /// Rotating partial Dantzig over exact reduced costs: cheapest
-  /// per-iteration scan, and the measured default for the flow LPs.
-  kDantzig,
-  /// Devex reference-framework pricing (Harris) with incrementally updated
-  /// reduced costs: steepest-edge-like entering choices at one extra BTRAN
-  /// plus one pivot-row pass per iteration.
-  kDevex,
-};
-
+/// The double engine prices by candidate-list Dantzig (primal loop) and
+/// largest violation (dual loop). DESIGN.md "Presolve & pricing" records
+/// why: on these degenerate flow LPs every rule pays the same pivot floor,
+/// so the cheapest scan wins end to end.
 struct SimplexOptions {
   std::size_t max_iterations = 200000;
-  /// Switch from the configured pricing rule to Bland's rule (guaranteed
+  /// Switch from the regular pricing rule to Bland's rule (guaranteed
   /// anti-cycling) after this many CONSECUTIVE degenerate pivots; any
   /// progress switches back. Cycling consists solely of degenerate pivots,
   /// so the guarantee is preserved without condemning large instances to
   /// Bland's crawl.
   std::size_t bland_after = 1000;
-  PricingRule pricing = PricingRule::kDantzig;
   /// Apply power-of-two geometric-mean equilibration (lp/scaling.h) inside
   /// the double engine. Exactly undone on extraction; the rational tableau
   /// never scales.

@@ -96,6 +96,28 @@ TEST(PrefixLp, RejectsSingleParticipant) {
   EXPECT_THROW(solve_prefix(inst), std::invalid_argument);
 }
 
+TEST(PrefixLp, RejectsDuplicateComputeNode) {
+  auto inst = testing::random_reduce_instance(3, 6, 3);
+  PrefixLpOptions dup;
+  dup.compute_nodes = {inst.participants[1], inst.participants[1]};
+  EXPECT_THROW(solve_prefix(inst, dup), std::invalid_argument);
+  EXPECT_THROW((void)build_prefix_lp(inst, dup), std::invalid_argument);
+}
+
+TEST(PrefixLp, ReportsPhaseTimesDenseAndColgen) {
+  const auto inst = testing::random_reduce_instance(7, 8, 4);
+  for (ColGenMode mode : {ColGenMode::kNever, ColGenMode::kAlways}) {
+    PrefixLpOptions options;
+    options.colgen = mode;
+    const ReduceSolution sol = solve_prefix(inst, options);
+    const lp::SolvePhaseTimes& t = sol.lp_phase_times;
+    EXPECT_GT(t.ftran_ns + t.btran_ns + t.pricing_ns + t.factor_ns +
+                  t.certify_ns + t.pricing_sweep_ns,
+              0u)
+        << "mode " << static_cast<int>(mode);
+  }
+}
+
 class PrefixLpPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PrefixLpPropertyTest, SolutionValidates) {

@@ -159,6 +159,12 @@ TEST(ReduceLp, RejectsMalformedInstances) {
   bad = inst;
   bad.target = 99;
   EXPECT_THROW(solve_reduce(bad), std::invalid_argument);
+  // A repeated compute node would get a second compute row and a second
+  // copy of every merge column.
+  ReduceLpOptions dup;
+  dup.compute_nodes = {inst.participants[0], inst.participants[0]};
+  EXPECT_THROW(solve_reduce(inst, dup), std::invalid_argument);
+  EXPECT_THROW((void)build_reduce_lp(inst, dup), std::invalid_argument);
 }
 
 TEST(ReduceLp, TargetNeedNotParticipate) {

@@ -114,21 +114,6 @@ TEST(Scaling, DoubleEngineMatchesExactOnBadScaling) {
               1e-9 * std::fabs(ex.objective.to_double()));
 }
 
-TEST(Pricing, DevexAndDantzigAgreeOnCertifiedOptimum) {
-  const Model m = heterogeneous_model();
-  ExactSolverOptions devex;
-  devex.simplex.pricing = PricingRule::kDevex;
-  ExactSolverOptions dantzig;
-  dantzig.simplex.pricing = PricingRule::kDantzig;
-  auto a = ExactSolver(devex).solve(m);
-  auto b = ExactSolver(dantzig).solve(m);
-  ASSERT_EQ(a.status, SolveStatus::kOptimal);
-  ASSERT_EQ(b.status, SolveStatus::kOptimal);
-  EXPECT_TRUE(a.certified);
-  EXPECT_TRUE(b.certified);
-  EXPECT_EQ(a.objective, b.objective);
-}
-
 TEST(SolverStats, PhaseTimeBreakdownAccumulates) {
   // The FTRAN/BTRAN/pricing counters must be wired through to the
   // aggregate stats (relaxed atomics) after a solve of nontrivial size.

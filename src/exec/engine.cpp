@@ -1,6 +1,7 @@
 #include "exec/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -25,7 +26,10 @@ std::uint8_t pattern_byte(std::size_t type, std::uint64_t id) {
                                    (id >> 8));
 }
 
-enum class StepKind { kSend, kRecv, kComp };
+/// A port's kind; port p = 3u + kind, so ports sort by node, then OUT, IN,
+/// CPU — the scheduler's priority order.
+enum class StepKind : std::uint8_t { kSend = 0, kRecv = 1, kComp = 2 };
+constexpr std::size_t kKinds = 3;
 
 /// Runtime state of one port (a node's OUT, IN or CPU lane).
 struct PortRt {
@@ -72,11 +76,13 @@ class Engine {
       return report;
     }
     init();
-    init_trace();
-    if (threaded_) {
-      run_threaded();
-    } else {
-      run_event();
+    if (!done_) {
+      init_trace();
+      if (threaded_) {
+        run_threaded();
+      } else {
+        run_event();
+      }
     }
     fill_report(report);
     return report;
@@ -86,10 +92,35 @@ class Engine {
   // ---- setup -------------------------------------------------------------
 
   void init() {
+    // Operation counters are 64-bit; a plan whose window holds more
+    // operations than that fails typed instead of throwing from BigInt.
+    const std::int64_t periods = static_cast<std::int64_t>(
+        opt_.warmup_periods + opt_.measure_periods);
+    const num::BigInt total =
+        (Rational(periods) * p_.ops_per_period).ceil();
+    if (!total.fits_int64()) {
+      set_fault(0.0, FaultCode::kCountOverflow,
+                std::to_string(periods) + " periods of " +
+                    p_.ops_per_period.to_string() +
+                    " operations overflow the 64-bit operation counter");
+      return;
+    }
+    total_ops_ = static_cast<std::uint64_t>(total.to_int64());
+    warmup_ops_ = static_cast<std::uint64_t>(
+        (Rational(static_cast<std::int64_t>(opt_.warmup_periods)) *
+         p_.ops_per_period)
+            .ceil()
+            .to_int64());
+    if (total_ops_ <= warmup_ops_) total_ops_ = warmup_ops_ + 1;
+
     const std::size_t nodes = p_.num_nodes();
     faults_ = FaultRuntime(opt_.faults, p_.platform->num_edges(), nodes);
     avail_.assign(nodes, std::vector<Rational>(p_.num_types));
     delivered_.assign(p_.num_types, Rational(0));
+    delivered_floor_.assign(p_.num_types, 0);
+    for (std::size_t k = 0; k < p_.num_types; ++k) {
+      if (p_.sink_of_type[k] != graph::kInvalidId) full_type_ = k;
+    }
     forwards_.assign(nodes, std::vector<char>(p_.num_types, 0));
     channels_.reserve(p_.transfers.size());
     reserved_.assign(p_.transfers.size(), 0);
@@ -156,25 +187,18 @@ class Engine {
       }
     }
 
-    out_.resize(nodes);
-    in_.resize(nodes);
-    cpu_.resize(nodes);
+    ports_.resize(kKinds * nodes);
     for (graph::NodeId u = 0; u < nodes; ++u) {
-      out_[u].order = &p_.out_order[u];
-      in_[u].order = &p_.in_order[u];
-      cpu_[u].order = &p_.cpu_order[u];
+      ports_[port_of(u, StepKind::kSend)].order = &p_.out_order[u];
+      ports_[port_of(u, StepKind::kRecv)].order = &p_.in_order[u];
+      ports_[port_of(u, StepKind::kComp)].order = &p_.cpu_order[u];
     }
-
-    const Rational warm = Rational(static_cast<std::int64_t>(
-                              opt_.warmup_periods)) *
-                          p_.ops_per_period;
-    const Rational total =
-        Rational(static_cast<std::int64_t>(opt_.warmup_periods +
-                                           opt_.measure_periods)) *
-        p_.ops_per_period;
-    warmup_ops_ = static_cast<std::uint64_t>(warm.ceil().to_int64());
-    total_ops_ = static_cast<std::uint64_t>(total.ceil().to_int64());
-    if (total_ops_ <= warmup_ops_) total_ops_ = warmup_ops_ + 1;
+    const std::size_t words = (ports_.size() + 63) / 64;
+    pending_.assign(words, 0);
+    timed_.assign(words, 0);
+    wake_.assign(ports_.size(), kInf);
+    from_now_.assign(ports_.size(), 0);
+    for (std::size_t p = 0; p < ports_.size(); ++p) mark(p);
   }
 
   [[nodiscard]] bool unlimited(graph::NodeId u, std::size_t type) const {
@@ -192,15 +216,12 @@ class Engine {
     if (!obs::Trace::enabled()) return;
     tracing_ = true;
     trace_offset_ = obs::Trace::now_ns();
-    const std::size_t nodes = p_.num_nodes();
-    out_lane_.resize(nodes);
-    in_lane_.resize(nodes);
-    cpu_lane_.resize(nodes);
-    for (graph::NodeId u = 0; u < nodes; ++u) {
+    lanes_.resize(ports_.size());
+    for (graph::NodeId u = 0; u < p_.num_nodes(); ++u) {
       const std::string name = p_.platform->node_name(u);
-      out_lane_[u] = obs::Trace::lane(name + " out");
-      in_lane_[u] = obs::Trace::lane(name + " in");
-      cpu_lane_[u] = obs::Trace::lane(name + " cpu");
+      lanes_[port_of(u, StepKind::kSend)] = obs::Trace::lane(name + " out");
+      lanes_[port_of(u, StepKind::kRecv)] = obs::Trace::lane(name + " in");
+      lanes_[port_of(u, StepKind::kComp)] = obs::Trace::lane(name + " cpu");
     }
   }
 
@@ -211,10 +232,11 @@ class Engine {
   /// Emits the just-committed occupation [end - seconds, end] on `lane`,
   /// preceded by a "wait" span covering the admission gap since the port's
   /// previous occupation ended.
-  void trace_span(std::uint32_t lane, const char* name, double prev_end,
+  void trace_span(std::size_t port, const char* name, double prev_end,
                   double end, double seconds, std::uint64_t bytes,
                   bool has_bytes) {
     if (!tracing_) return;
+    const std::uint32_t lane = lanes_[port];
     const double start = end - seconds;
     if (start - prev_end > 1e-12) {
       obs::Trace::emit(lane, "wait", "exec", ns_at(prev_end),
@@ -225,63 +247,129 @@ class Engine {
                      has_bytes);
   }
 
-  // ---- admission (scheduler lock held) -----------------------------------
+  // ---- scheduler (lock held) ---------------------------------------------
+  //
+  // Both drivers admit steps through admit_next, which admits exactly the
+  // step a full scan of all ports in order would admit, without rescanning.
+  // A port that is neither pending nor timed is blocked on data, a channel
+  // slot or its own completion, and stays so until a commit changes what
+  // its check reads. Each commit therefore marks the ports that read the
+  // state it changed:
+  //   * a recv pops the channel: the sender's OUT port;
+  //   * a recv, or a merge whose product stays local, raises the node's
+  //     stock: its OUT and CPU ports;
+  //   * a send or a merge lowers the node's stock: the other stock reader,
+  //     if it is timed (lower stock can only block it, and its stale wake
+  //     must not pick the next instant);
+  //   * complete: the port itself, and after a send the receiver's IN port.
+  // A timed port's wake_ is the instant a full scan would compute for it,
+  // so next_wake() is the full scan's next instant. The exception is a
+  // ready time computed from `now` itself: a token deficit gives
+  // now + deficit/rate, whose last bits depend on now, and a blackout
+  // check reads now. Such ports (from_now_) are re-checked at every
+  // instant, as the full scan re-checks everything.
 
-  /// Scans every port for an admissible step at `now`. On success fills
-  /// `out` (all bookkeeping already committed) and returns true. Otherwise
-  /// `next_time` is the earliest instant a currently time-blocked step
-  /// becomes ready (kInf if every blocked step waits on another worker).
-  bool try_admit(double now, Admitted& out, double& next_time) {
-    next_time = kInf;
-    for (graph::NodeId u = 0; u < out_.size(); ++u) {
-      if (admit_port(out_[u], StepKind::kSend, u, now, out, next_time)) {
-        return true;
+  [[nodiscard]] static std::size_t port_of(graph::NodeId u, StepKind kind) {
+    return kKinds * u + static_cast<std::size_t>(kind);
+  }
+
+  void mark(std::size_t p) { pending_[p / 64] |= std::uint64_t{1} << (p % 64); }
+
+  void mark_if_timed(std::size_t p) {
+    if ((timed_[p / 64] >> (p % 64)) & 1) mark(p);
+  }
+
+  template <typename Fn>
+  void for_each_timed(Fn fn) const {
+    for (std::size_t w = 0; w < timed_.size(); ++w) {
+      for (std::uint64_t bits = timed_[w]; bits != 0; bits &= bits - 1) {
+        fn(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
       }
-      if (admit_port(in_[u], StepKind::kRecv, u, now, out, next_time)) {
-        return true;
-      }
-      if (admit_port(cpu_[u], StepKind::kComp, u, now, out, next_time)) {
-        return true;
+    }
+  }
+
+  /// The clock moved to `now`: re-check every port whose wake has passed or
+  /// was computed from an earlier instant.
+  void advance(double now) {
+    for_each_timed([&](std::size_t p) {
+      if (from_now_[p] || wake_[p] <= now) mark(p);
+    });
+  }
+
+  /// Earliest wake of a time-blocked port; kInf if none (every blocked step
+  /// waits on another step). Exact once admit_next has returned false.
+  [[nodiscard]] double next_wake() const {
+    double t = kInf;
+    for_each_timed([&](std::size_t p) { t = std::min(t, wake_[p]); });
+    return t;
+  }
+
+  /// Admits the lowest-numbered admissible pending port at `now`. On
+  /// success fills `out` (all bookkeeping already committed) and returns
+  /// true; the next call starts again from port 0, since the commit may
+  /// have marked lower ports.
+  bool admit_next(double now, Admitted& out) {
+    for (std::size_t w = 0; w < pending_.size(); ++w) {
+      while (pending_[w] != 0) {
+        const std::size_t p =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(pending_[w]));
+        pending_[w] &= pending_[w] - 1;
+        timed_[w] &= ~(std::uint64_t{1} << (p % 64));
+        double ready = kInf;
+        bool from_now = false;
+        if (admit_port(p, now, out, ready, from_now)) return true;
+        if (ready != kInf) {
+          timed_[w] |= std::uint64_t{1} << (p % 64);
+          wake_[p] = ready;
+          from_now_[p] = from_now ? 1 : 0;
+        }
       }
     }
     return false;
   }
 
-  bool admit_port(PortRt& port, StepKind kind, graph::NodeId u, double now,
-                  Admitted& out, double& next_time) {
+  /// Checks port `p` at `now` and commits its step if admissible. A port
+  /// blocked only by time sets `ready` to the instant it becomes ready and
+  /// `from_now` when that instant was computed from `now`.
+  bool admit_port(std::size_t p, double now, Admitted& out, double& ready,
+                  bool& from_now) {
+    PortRt& port = ports_[p];
     if (port.in_flight || port.order->empty()) return false;
+    const auto u = static_cast<graph::NodeId>(p / kKinds);
     const std::size_t tmpl = (*port.order)[port.pos];
-    switch (kind) {
+    switch (static_cast<StepKind>(p % kKinds)) {
       case StepKind::kSend:
-        return admit_send(port, u, tmpl, now, out, next_time);
+        return admit_send(p, u, tmpl, now, out, ready, from_now);
       case StepKind::kRecv:
-        return admit_recv(port, u, tmpl, now, out, next_time);
+        return admit_recv(p, u, tmpl, now, out, ready);
       case StepKind::kComp:
-        return admit_comp(port, u, tmpl, now, out, next_time);
+        return admit_comp(p, u, tmpl, now, out, ready);
     }
     return false;
   }
 
-  bool admit_send(PortRt& port, graph::NodeId u, std::size_t tmpl, double now,
-                  Admitted& out, double& next_time) {
+  bool admit_send(std::size_t p, graph::NodeId u, std::size_t tmpl,
+                  double now, Admitted& out, double& ready, bool& from_now) {
+    PortRt& port = ports_[p];
     const TransferTemplate& t = p_.transfers[tmpl];
     const ChunkSpec& c = t.chunks[port.sub];
     if (channels_[tmpl].size() + reserved_[tmpl] >= channels_[tmpl].capacity()) {
-      return false;  // backpressure: receiver will drain
+      return false;  // backpressure: the receiver's pop marks this port
     }
     if (!unlimited(u, t.type) && avail_[u][t.type] < c.messages) {
-      return false;  // upstream producer will commit and notify
+      return false;  // the producer's commit marks this port
     }
     const double slack = opt_.burst_chunks * c.seconds;
-    double rt =
-        std::max(port.tat - slack,
-                 buckets_[t.edge].ready_time(now, static_cast<double>(c.bytes)));
+    const double bucket =
+        buckets_[t.edge].ready_time(now, static_cast<double>(c.bytes));
+    double rt = std::max(port.tat - slack, bucket);
     if (faults_.active()) {
       rt = std::max(rt, port.retry_at);  // retransmit backoff gate
       rt = std::max(rt, faults_.blackout_release(t.edge, now));
     }
     if (rt > now) {
-      next_time = std::min(next_time, rt);
+      ready = rt;
+      from_now = bucket > now || faults_.active();
       return false;
     }
     // Commit. A collapsed link stretches the chunk's wire time by 1/scale,
@@ -302,6 +390,11 @@ class Engine {
     port.tat = std::max(port.tat, now) + seconds;
     port.busy += seconds;
     edge_busy_[t.edge] += seconds;
+    out.kind = StepKind::kSend;
+    out.node = u;
+    out.tmpl = tmpl;
+    out.chunk = Chunk{};
+    port.in_flight = true;
     if (lost) {
       // No availability debit, no identity consumption, no channel push:
       // exactly-once bookkeeping never saw this crossing.
@@ -314,26 +407,18 @@ class Engine {
                       " consecutive times",
                   t.edge, u);
       }
-      trace_span(out_lane_.empty() ? 0 : out_lane_[u], "lost", prev_end,
-                 port.tat, seconds, c.bytes, true);
-      out.kind = StepKind::kSend;
-      out.node = u;
-      out.tmpl = tmpl;
-      out.chunk = Chunk{};
+      trace_span(p, "lost", prev_end, port.tat, seconds, c.bytes, true);
       out.lost = true;
-      port.in_flight = true;
       return true;
     }
     port.attempts = 0;
     port.retry_at = 0.0;
-    if (!unlimited(u, t.type)) avail_[u][t.type] -= c.messages;
+    if (!unlimited(u, t.type)) {
+      avail_[u][t.type] -= c.messages;
+      mark_if_timed(port_of(u, StepKind::kComp));
+    }
     edge_bytes_[t.edge] += c.bytes;
-    trace_span(out_lane_.empty() ? 0 : out_lane_[u], "send", prev_end,
-               port.tat, seconds, c.bytes, true);
-    out.kind = StepKind::kSend;
-    out.node = u;
-    out.tmpl = tmpl;
-    out.chunk = Chunk{};
+    trace_span(p, "send", prev_end, port.tat, seconds, c.bytes, true);
     out.chunk.type = t.type;
     out.chunk.bytes = c.bytes;
     out.chunk.arrive_time = port.tat;  // fully crossed once the wire time ran
@@ -353,20 +438,20 @@ class Engine {
       }
     }
     ++reserved_[tmpl];
-    port.in_flight = true;
     return true;
   }
 
-  bool admit_recv(PortRt& port, graph::NodeId u, std::size_t tmpl, double now,
-                  Admitted& out, double& next_time) {
+  bool admit_recv(std::size_t p, graph::NodeId u, std::size_t tmpl,
+                  double now, Admitted& out, double& ready) {
+    PortRt& port = ports_[p];
     const TransferTemplate& t = p_.transfers[tmpl];
     const ChunkSpec& c = t.chunks[port.sub];
-    if (channels_[tmpl].empty()) return false;  // sender will notify
+    if (channels_[tmpl].empty()) return false;  // the sender's push marks us
     const double slack = opt_.burst_chunks * c.seconds;
     const double rt =
         std::max(channels_[tmpl].front().arrive_time, port.tat - slack);
     if (rt > now) {
-      next_time = std::min(next_time, rt);
+      ready = rt;
       return false;
     }
     // Commit: the one-port model charges receive time too.
@@ -374,17 +459,19 @@ class Engine {
     const double prev_end = port.tat;
     port.tat = std::max(port.tat, now) + c.seconds;
     port.busy += c.seconds;
-    trace_span(in_lane_.empty() ? 0 : in_lane_[u], "recv", prev_end, port.tat,
-               c.seconds, c.bytes, true);
+    trace_span(p, "recv", prev_end, port.tat, c.seconds, c.bytes, true);
     out.kind = StepKind::kRecv;
     out.node = u;
     out.tmpl = tmpl;
     out.chunk = channels_[tmpl].pop();
+    mark(port_of(t.src, StepKind::kSend));
     avail_[u][t.type] += c.messages;
+    mark(port_of(u, StepKind::kSend));
+    mark(port_of(u, StepKind::kComp));
     const bool sink = p_.sink_of_type[t.type] == u;
     if (sink) {
       delivered_[t.type] += c.messages;
-      update_ops(now);
+      update_ops(t.type, now);
     }
     if (verify_) {
       if (sink) {
@@ -401,8 +488,9 @@ class Engine {
     return true;
   }
 
-  bool admit_comp(PortRt& port, graph::NodeId u, std::size_t tmpl, double now,
-                  Admitted& out, double& next_time) {
+  bool admit_comp(std::size_t p, graph::NodeId u, std::size_t tmpl,
+                  double now, Admitted& out, double& ready) {
+    PortRt& port = ports_[p];
     const ComputeTemplate& ct = p_.comps[tmpl];
     const ComputeSlice& s = ct.slices[port.sub];
     if (!unlimited(u, ct.left) && avail_[u][ct.left] < s.count) return false;
@@ -410,7 +498,7 @@ class Engine {
     const double slack = opt_.burst_chunks * s.seconds;
     const double rt = port.tat - slack;
     if (rt > now) {
-      next_time = std::min(next_time, rt);
+      ready = rt;
       return false;
     }
     // Commit the merge v[k,l] (+) v[l+1,m] -> v[k,m]. A slowed-down node
@@ -419,17 +507,18 @@ class Engine {
     if (faults_.active()) seconds /= faults_.node_scale(u, now);
     if (!unlimited(u, ct.left)) avail_[u][ct.left] -= s.count;
     if (!unlimited(u, ct.right)) avail_[u][ct.right] -= s.count;
+    mark_if_timed(port_of(u, StepKind::kSend));
     check_occupancy(port, now, slack);
     const double prev_end = port.tat;
     port.tat = std::max(port.tat, now) + seconds;
     port.busy += seconds;
-    trace_span(cpu_lane_.empty() ? 0 : cpu_lane_[u], "comp", prev_end,
-               port.tat, seconds, 0, false);
+    trace_span(p, "comp", prev_end, port.tat, seconds, 0, false);
     if (p_.sink_of_type[ct.product] == u) {
       delivered_[ct.product] += s.count;
-      update_ops(now);
+      update_ops(ct.product, now);
     } else {
       avail_[u][ct.product] += s.count;
+      mark(port_of(u, StepKind::kSend));
     }
     out.kind = StepKind::kComp;
     out.node = u;
@@ -479,30 +568,28 @@ class Engine {
     }
   }
 
-  void update_ops(double now) {
-    std::uint64_t ops = std::numeric_limits<std::uint64_t>::max();
-    if (p_.kind == ExecProgram::Kind::kFlow) {
-      for (std::size_t k = 0; k < p_.num_types; ++k) {
-        ops = std::min(ops, static_cast<std::uint64_t>(
-                                delivered_[k].floor().to_int64()));
-      }
-    } else {
-      std::size_t full = 0;
-      for (std::size_t k = 0; k < p_.num_types; ++k) {
-        if (p_.sink_of_type[k] != graph::kInvalidId) full = k;
-      }
-      ops = static_cast<std::uint64_t>(delivered_[full].floor().to_int64());
+  /// A delivery of `type` reached its sink: refresh the completed-operation
+  /// count (flow: the slowest commodity; reduce: the full interval) and
+  /// stamp the window edges.
+  void update_ops(std::size_t type, double now) {
+    const num::BigInt whole = delivered_[type].floor();
+    if (!whole.fits_int64()) {
+      set_fault(now, FaultCode::kCountOverflow,
+                "deliveries overflow the 64-bit operation counter");
+      return;
     }
-    ops_done_ = ops;
+    delivered_floor_[type] = static_cast<std::uint64_t>(whole.to_int64());
+    ops_done_ = p_.kind == ExecProgram::Kind::kFlow
+                    ? *std::min_element(delivered_floor_.begin(),
+                                        delivered_floor_.end())
+                    : delivered_floor_[full_type_];
     if (!t0_stamped_ && ops_done_ >= warmup_ops_) {
       t0_stamped_ = true;
       t0_ = now;
       ops0_ = ops_done_;
       edge_bytes_t0_ = edge_bytes_;
       edge_busy_t0_ = edge_busy_;
-      for (auto* ports : {&out_, &in_, &cpu_}) {
-        for (PortRt& port : *ports) port.busy_t0 = port.busy;
-      }
+      for (PortRt& port : ports_) port.busy_t0 = port.busy;
     }
     if (t0_stamped_ && !t1_stamped_ && ops_done_ >= total_ops_) {
       t1_stamped_ = true;
@@ -511,10 +598,8 @@ class Engine {
       edge_bytes_t1_ = edge_bytes_;
       edge_busy_t1_ = edge_busy_;
       port_busy_t1_.clear();
-      for (auto* ports : {&out_, &in_, &cpu_}) {
-        for (PortRt& port : *ports) {
-          port_busy_t1_.push_back(port.busy - port.busy_t0);
-        }
+      for (const PortRt& port : ports_) {
+        port_busy_t1_.push_back(port.busy - port.busy_t0);
       }
       done_ = true;
     }
@@ -598,36 +683,33 @@ class Engine {
 
   /// Re-acquires the scheduler lock conceptually: called with it held.
   void complete(Admitted& a, double now) {
-    PortRt* port = nullptr;
+    const std::size_t p = port_of(a.node, a.kind);
+    PortRt& port = ports_[p];
+    port.in_flight = false;
+    last_progress_ = now;
+    mark(p);
     std::size_t steps = 0;
     if (a.kind == StepKind::kSend) {
-      port = &out_[a.node];
-      if (a.lost) {
-        // The same chunk stays at (pos, sub): the port will retransmit it
-        // once its backoff gate opens. Losses still count as liveness for
-        // the watchdog — the engine is making (doomed) wire progress.
-        port->in_flight = false;
-        last_progress_ = now;
-        return;
-      }
-      steps = p_.transfers[a.tmpl].chunks.size();
+      // A lost chunk stays at (pos, sub): the port retransmits it once its
+      // backoff gate opens. Losses still count as liveness for the
+      // watchdog — the engine is making (doomed) wire progress.
+      if (a.lost) return;
+      const TransferTemplate& t = p_.transfers[a.tmpl];
+      steps = t.chunks.size();
       --reserved_[a.tmpl];
       channels_[a.tmpl].push(std::move(a.chunk));
+      mark(port_of(t.dst, StepKind::kRecv));
     } else if (a.kind == StepKind::kRecv) {
-      port = &in_[a.node];
       steps = p_.transfers[a.tmpl].chunks.size();
       if (!a.payload_ok) ++delivery_errors_;
     } else {
-      port = &cpu_[a.node];
       steps = p_.comps[a.tmpl].slices.size();
     }
-    ++port->sub;
-    if (port->sub >= steps) {
-      port->sub = 0;
-      port->pos = (port->pos + 1) % port->order->size();
+    ++port.sub;
+    if (port.sub >= steps) {
+      port.sub = 0;
+      port.pos = (port.pos + 1) % port.order->size();
     }
-    port->in_flight = false;
-    last_progress_ = now;
   }
 
   // ---- drivers -----------------------------------------------------------
@@ -636,11 +718,11 @@ class Engine {
     double vnow = 0.0;
     while (!done_) {
       Admitted a;
-      double next_time = kInf;
-      if (try_admit(vnow, a, next_time)) {
+      if (admit_next(vnow, a)) {
         complete(a, vnow);  // no byte work on the virtual path
         continue;
       }
+      const double next_time = next_wake();
       if (next_time == kInf) {
         set_fault(vnow, FaultCode::kDeadlock,
                   "discrete-event executor deadlocked (no admissible "
@@ -654,6 +736,7 @@ class Engine {
         return;
       }
       vnow = next_time;
+      advance(vnow);
     }
   }
 
@@ -694,9 +777,9 @@ class Engine {
         cv_.notify_all();
         break;
       }
+      advance(now);
       Admitted a;
-      double next_time = kInf;
-      if (try_admit(now, a, next_time)) {
+      if (admit_next(now, a)) {
         lock.unlock();
         byte_work(a);
         lock.lock();
@@ -711,7 +794,7 @@ class Engine {
         cv_.notify_all();
         break;
       }
-      double wake = std::min(next_time, last_progress_ + watchdog + 1e-3);
+      double wake = std::min(next_wake(), last_progress_ + watchdog + 1e-3);
       if (opt_.deadline_seconds > 0) {
         wake = std::min(wake, opt_.deadline_seconds + 1e-3);
       }
@@ -773,9 +856,12 @@ class Engine {
     const std::size_t n = p_.num_nodes();
     for (graph::NodeId u = 0; u < n; ++u) {
       if (r.elapsed_seconds <= 0) break;
-      r.ports[u].out = port_busy_t1_[u] / r.elapsed_seconds;
-      r.ports[u].in = port_busy_t1_[n + u] / r.elapsed_seconds;
-      r.ports[u].cpu = port_busy_t1_[2 * n + u] / r.elapsed_seconds;
+      r.ports[u].out =
+          port_busy_t1_[port_of(u, StepKind::kSend)] / r.elapsed_seconds;
+      r.ports[u].in =
+          port_busy_t1_[port_of(u, StepKind::kRecv)] / r.elapsed_seconds;
+      r.ports[u].cpu =
+          port_busy_t1_[port_of(u, StepKind::kComp)] / r.elapsed_seconds;
     }
   }
 
@@ -796,11 +882,19 @@ class Engine {
 
   std::vector<std::vector<Rational>> avail_;
   std::vector<Rational> delivered_;
+  std::vector<std::uint64_t> delivered_floor_;  // floor(delivered_), per type
+  std::size_t full_type_ = 0;  // reduce: the type whose deliveries count
   std::vector<std::vector<char>> forwards_;
   std::vector<BoundedChannel> channels_;
   std::vector<std::size_t> reserved_;
   std::vector<TokenBucket> buckets_;
-  std::vector<PortRt> out_, in_, cpu_;
+  std::vector<PortRt> ports_;  // port_of(node, kind)
+
+  // Scheduler state (admit_next): bitsets over ports, plus the ready time
+  // of each timed port and whether it was computed from `now`.
+  std::vector<std::uint64_t> pending_, timed_;
+  std::vector<double> wake_;
+  std::vector<char> from_now_;
 
   std::vector<std::uint64_t> next_id_;
   std::vector<std::vector<std::deque<std::pair<std::uint64_t, std::uint64_t>>>>
@@ -817,10 +911,10 @@ class Engine {
   double t0_ = 0.0, t1_ = 0.0;
   std::size_t violations_ = 0, delivery_errors_ = 0;
 
-  // Tracing (init_trace): one lane per (node, port kind).
+  // Tracing (init_trace): one lane per port.
   bool tracing_ = false;
   std::uint64_t trace_offset_ = 0;
-  std::vector<std::uint32_t> out_lane_, in_lane_, cpu_lane_;
+  std::vector<std::uint32_t> lanes_;
 };
 
 }  // namespace

@@ -21,7 +21,10 @@
 //     not leak throughput) plus the edge token bucket (sends) plus the wire
 //     arrival time (receives).
 // Admission and bookkeeping happen under one scheduler mutex; payload
-// memcpy/validation happens outside it on exclusively owned chunks.
+// memcpy/validation happens outside it on exclusively owned chunks. The
+// scheduler always admits the lowest-numbered admissible port (by node,
+// then OUT, IN, CPU), and re-checks only the ports whose inputs a commit
+// changed or whose ready time has come (engine.cpp, admit_next).
 //
 // Because every port executes strictly one activity at a time and its TAT
 // advances by the activity's full wire/compute occupation, the one-port

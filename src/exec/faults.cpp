@@ -38,6 +38,7 @@ const char* fault_code_name(FaultCode code) {
     case FaultCode::kRetransmitLimit: return "retransmit-limit";
     case FaultCode::kIdentityUnderflow: return "identity-underflow";
     case FaultCode::kIncompleteWindow: return "incomplete-window";
+    case FaultCode::kCountOverflow: return "count-overflow";
   }
   return "unknown";
 }

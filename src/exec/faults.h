@@ -62,6 +62,7 @@ enum class FaultCode : std::uint8_t {
   kRetransmitLimit,   ///< a chunk was lost more than max_retransmits times
   kIdentityUnderflow, ///< message identity bookkeeping underflow (engine bug)
   kIncompleteWindow,  ///< execution ended before the measurement window closed
+  kCountOverflow,     ///< the run's operation count does not fit 64 bits
 };
 
 [[nodiscard]] const char* fault_code_name(FaultCode code);

@@ -47,17 +47,6 @@ BigInt::BigInt(std::string_view decimal) {
   negative_ = neg && !limbs_.empty();
 }
 
-std::size_t BigInt::bit_length() const {
-  if (limbs_.empty()) return 0;
-  std::uint32_t top = limbs_.back();
-  std::size_t bits = (limbs_.size() - 1) * 32;
-  while (top != 0) {
-    ++bits;
-    top >>= 1;
-  }
-  return bits;
-}
-
 bool BigInt::fits_int64() const {
   if (limbs_.size() > 2) return false;
   if (limbs_.size() < 2) return true;

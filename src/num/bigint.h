@@ -14,6 +14,7 @@
 //  * zero is represented as { negative_=false, limbs_.empty() };
 //  * every public operation preserves canonical form.
 
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <iosfwd>
@@ -61,7 +62,11 @@ class BigInt {
   }
 
   /// Number of significant bits of |*this| (0 for zero).
-  [[nodiscard]] std::size_t bit_length() const;
+  [[nodiscard]] std::size_t bit_length() const {
+    if (limbs_.empty()) return 0;
+    return (limbs_.size() - 1) * 32 +
+           static_cast<std::size_t>(std::bit_width(limbs_.back()));
+  }
 
   /// True when the value fits in a signed 64-bit integer.
   [[nodiscard]] bool fits_int64() const;

@@ -234,6 +234,32 @@ TEST(ThreadedExecTest, RandomHeterogeneous16ScatterMeetsEfficiencyFloor) {
   }
 }
 
+TEST(ThreadedExecTest, CountOverflowIsATypedFaultOnBothBackends) {
+  const auto inst = platform::fig2_toy();
+  const auto plan = core::optimize_scatter(inst);
+  ExecProgram program =
+      exec::compile_flow_program(inst.platform, plan.flow, plan.schedule);
+  ExecOptions opt = quick_options();
+  opt.warmup_periods = 4;
+  opt.measure_periods = 16;
+  // 20 periods of just over 2^63/20 operations: the window's operation
+  // count no longer fits the engine's 64-bit counters.
+  program.ops_per_period =
+      num::Rational(num::BigInt::pow(num::BigInt(2), 63), num::BigInt(20)) +
+      num::Rational(1);
+  for (const bool threaded : {false, true}) {
+    SCOPED_TRACE(threaded ? "threaded" : "event");
+    ExecReport report;
+    ASSERT_NO_THROW(report = threaded ? exec::execute(program, opt)
+                                      : sim::simulate_execution(program, opt));
+    EXPECT_EQ(report.fault.code, exec::FaultCode::kCountOverflow)
+        << report.fault.to_string();
+    EXPECT_STREQ(exec::fault_code_name(report.fault.code), "count-overflow");
+    EXPECT_FALSE(report.ok());
+    EXPECT_EQ(report.operations, 0u);
+  }
+}
+
 TEST(ThreadedExecTest, RejectsScheduleThatFailsStaticOneportCheck) {
   const auto inst = platform::fig2_toy();
   auto plan = core::optimize_scatter(inst);

@@ -187,6 +187,24 @@ TEST(BigInt, BitLength) {
   EXPECT_EQ(BigInt(255).bit_length(), 8u);
   EXPECT_EQ(BigInt(256).bit_length(), 9u);
   EXPECT_EQ(BigInt("4294967296").bit_length(), 33u);
+  EXPECT_EQ(BigInt(0).bit_length(), 0u);
+  // Limb boundaries: bit_length() <= 31 gates every Rational int64 fast
+  // path, so an off-by-one at 2^31 or across a limb would matter.
+  const struct {
+    BigInt value;
+    std::size_t bits;
+  } cases[] = {
+      {BigInt(std::int64_t{2147483647}), 31},          // 2^31 - 1
+      {BigInt(std::int64_t{2147483648}), 32},          // 2^31
+      {BigInt(std::uint64_t{4294967295}), 32},         // 2^32 - 1
+      {BigInt(std::uint64_t{1} << 63), 64},            // 2^63
+      {BigInt::pow(BigInt(2), 64), 65},                // 2^64
+      {BigInt::pow(BigInt(2), 95), 96},                // 2^95
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(c.value.bit_length(), c.bits) << c.value;
+    EXPECT_EQ(c.value.negated().bit_length(), c.bits) << c.value.negated();
+  }
 }
 
 TEST(BigInt, HashDistinguishesSign) {

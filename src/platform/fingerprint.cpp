@@ -1,7 +1,9 @@
 #include "platform/fingerprint.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <stdexcept>
 
 namespace ssco::platform {
 
@@ -14,8 +16,8 @@ std::uint64_t mix(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
-// Order-DEPENDENT combine; multisets are sorted before folding so the
-// result is canonical.
+// Order-DEPENDENT combine; multisets are summed as mixed terms before they
+// reach it, so the result is canonical.
 std::uint64_t combine(std::uint64_t h, std::uint64_t v) {
   return mix(h + 0x9e3779b97f4a7c15ull + v);
 }
@@ -42,70 +44,40 @@ constexpr std::uint64_t kScatterOp = 0x6f702d73ull;
 constexpr std::uint64_t kGossipOp = 0x6f702d67ull;
 constexpr std::uint64_t kReduceOp = 0x6f702d72ull;
 
-/// One Weisfeiler-Leman refinement digest. Node ids never enter the hash:
-/// colors start from role seeds (+ speeds when `with_metrics`), each round
-/// folds the SORTED multiset of neighbor (color, cost) pairs, and the final
-/// digest folds the sorted multiset of node colors and edge signatures.
-std::uint64_t wl_digest(const Platform& p,
-                        const std::vector<std::uint64_t>& role_seed,
-                        bool with_metrics) {
-  const graph::Digraph& g = p.graph();
-  const std::size_t n = g.num_nodes();
-  const std::size_t m = g.num_edges();
+// Index of each digest in the per-digest arrays below.
+constexpr std::size_t kFull = 0;
+constexpr std::size_t kStructure = 1;
 
-  auto cost_hash = [&](graph::EdgeId e) {
-    return with_metrics ? hash_rational(p.edge_cost(e)) : kBlankCost;
-  };
+/// One neighbor of a node, with the tag each digest folds in beside the
+/// neighbor's color: direction plus cost hash for `full`, direction plus
+/// the blank cost for `structure`.
+struct Arc {
+  graph::NodeId node;
+  std::array<std::uint64_t, 2> tag;
+};
 
-  std::vector<std::uint64_t> color(n), next(n);
-  for (graph::NodeId v = 0; v < n; ++v) {
-    std::uint64_t c = combine(kNodeInit, role_seed.empty() ? 0 : role_seed[v]);
-    if (with_metrics) c = combine(c, hash_rational(p.node_speed(v)));
-    color[v] = c;
-  }
+/// One digest's side of the refinement.
+struct Coloring {
+  std::vector<std::uint64_t> color, next;
+  std::size_t classes = 0;
+  std::size_t rounds = 0;
+  bool stable = false;
+};
 
-  // Enough rounds for a color to see past the graph's likely diameter;
-  // refinement past stabilization is a no-op for discrimination but keeps
-  // the digest deterministic and cheap (m ~ hundreds here).
-  const std::size_t rounds =
-      std::max<std::size_t>(4, std::bit_width(n + 1) + 1);
-  std::vector<std::uint64_t> nbr;
-  for (std::size_t r = 0; r < rounds; ++r) {
-    for (graph::NodeId v = 0; v < n; ++v) {
-      nbr.clear();
-      for (graph::EdgeId e : g.out_edges(v)) {
-        nbr.push_back(combine(kOutTag,
-                              combine(color[g.edge(e).dst], cost_hash(e))));
-      }
-      for (graph::EdgeId e : g.in_edges(v)) {
-        nbr.push_back(combine(kInTag,
-                              combine(color[g.edge(e).src], cost_hash(e))));
-      }
-      std::sort(nbr.begin(), nbr.end());
-      std::uint64_t h = color[v];
-      for (std::uint64_t x : nbr) h = combine(h, x);
-      next[v] = h;
-    }
-    color.swap(next);
-  }
-
-  std::vector<std::uint64_t> items;
-  items.reserve(n + m);
-  for (graph::NodeId v = 0; v < n; ++v) items.push_back(color[v]);
-  for (graph::EdgeId e = 0; e < m; ++e) {
-    std::uint64_t sig = combine(kEdgeTag, color[g.edge(e).src]);
-    sig = combine(sig, color[g.edge(e).dst]);
-    items.push_back(combine(sig, cost_hash(e)));
-  }
-  std::sort(items.begin(), items.end());
-
-  std::uint64_t h = combine(combine(kFinalTag, n), m);
-  for (std::uint64_t x : items) h = combine(h, x);
-  return h;
+std::size_t count_classes(const std::vector<std::uint64_t>& color,
+                          std::vector<std::uint64_t>& sorted) {
+  sorted = color;
+  std::sort(sorted.begin(), sorted.end());
+  return static_cast<std::size_t>(
+      std::unique(sorted.begin(), sorted.end()) - sorted.begin());
 }
 
+/// Folds a role into node `v`'s seed. Role ids come from the caller
+/// unchecked (the service digests a request before any solver validates
+/// it), so an id outside the platform throws `bad_node`.
 void seed(std::vector<std::uint64_t>& seeds, graph::NodeId v,
-          std::uint64_t tag, std::uint64_t position = 0) {
+          std::uint64_t tag, std::uint64_t position, const char* bad_node) {
+  if (v >= seeds.size()) throw std::invalid_argument(bad_node);
   seeds[v] = combine(seeds[v], combine(tag, position));
 }
 
@@ -113,17 +85,110 @@ void seed(std::vector<std::uint64_t>& seeds, graph::NodeId v,
 
 Fingerprint fingerprint_platform(const Platform& platform,
                                  const std::vector<std::uint64_t>& role_seed) {
+  const graph::Digraph& g = platform.graph();
+  const std::size_t n = g.num_nodes();
+  const std::size_t m = g.num_edges();
+  if (!role_seed.empty() && role_seed.size() != n) {
+    throw std::invalid_argument("fingerprint: one role seed per node");
+  }
+
+  // Shared setup: every cost hashed once, and one flat CSR holding each
+  // node's out-arcs then in-arcs, arcs of v in [first[v], first[v + 1]).
+  std::vector<std::uint64_t> cost(m);
+  for (graph::EdgeId e = 0; e < m; ++e) {
+    cost[e] = hash_rational(platform.edge_cost(e));
+  }
+  const std::uint64_t blank_out = combine(kOutTag, kBlankCost);
+  const std::uint64_t blank_in = combine(kInTag, kBlankCost);
+  std::vector<std::size_t> first(n + 1);
+  std::vector<Arc> arcs;
+  arcs.reserve(2 * m);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    first[v] = arcs.size();
+    for (graph::EdgeId e : g.out_edges(v)) {
+      arcs.push_back({g.edge(e).dst, {combine(kOutTag, cost[e]), blank_out}});
+    }
+    for (graph::EdgeId e : g.in_edges(v)) {
+      arcs.push_back({g.edge(e).src, {combine(kInTag, cost[e]), blank_in}});
+    }
+  }
+  first[n] = arcs.size();
+
+  std::array<Coloring, 2> side;
+  std::vector<std::uint64_t> sorted;
+  for (Coloring& c : side) {
+    c.color.resize(n);
+    c.next.resize(n);
+  }
+  for (graph::NodeId v = 0; v < n; ++v) {
+    const std::uint64_t c =
+        combine(kNodeInit, role_seed.empty() ? 0 : role_seed[v]);
+    side[kStructure].color[v] = c;
+    side[kFull].color[v] = combine(c, hash_rational(platform.node_speed(v)));
+  }
+  for (Coloring& c : side) c.classes = count_classes(c.color, sorted);
+
+  // One round of both refinements per pass over the CSR. A node's new color
+  // is its old one combined with the SUM of mix(neighbor color ^ arc tag):
+  // an order-free fold of its neighbor multiset. The new color folds in the
+  // old, so a round only ever splits classes; the first round that adds
+  // none leaves the partition stable, later rounds cannot separate anything
+  // more, and that digest's colors freeze there. The cap bounds graphs that
+  // keep splitting (long paths): enough rounds for a color to see past the
+  // likely diameter of a platform.
+  const std::size_t max_rounds =
+      std::max<std::size_t>(4, std::bit_width(n + 1) + 1);
+  for (std::size_t r = 0; r < max_rounds; ++r) {
+    if (side[kFull].stable && side[kStructure].stable) break;
+    for (graph::NodeId v = 0; v < n; ++v) {
+      std::array<std::uint64_t, 2> sum{};
+      for (std::size_t a = first[v]; a < first[v + 1]; ++a) {
+        for (std::size_t k : {kFull, kStructure}) {
+          sum[k] += mix(side[k].color[arcs[a].node] ^ arcs[a].tag[k]);
+        }
+      }
+      for (std::size_t k : {kFull, kStructure}) {
+        side[k].next[v] = combine(side[k].color[v], sum[k]);
+      }
+    }
+    for (Coloring& c : side) {
+      if (c.stable) continue;
+      c.color.swap(c.next);
+      ++c.rounds;
+      const std::size_t classes = count_classes(c.color, sorted);
+      c.stable = classes <= c.classes;
+      c.classes = classes;
+    }
+  }
+
+  // Each digest folds its rounds run and the order-free sums of its node
+  // colors and edge signatures.
+  auto digest = [&](std::size_t k) {
+    const std::vector<std::uint64_t>& color = side[k].color;
+    std::uint64_t nodes = 0;
+    for (std::uint64_t c : color) nodes += mix(c);
+    std::uint64_t edges = 0;
+    for (graph::EdgeId e = 0; e < m; ++e) {
+      std::uint64_t sig = combine(kEdgeTag, color[g.edge(e).src]);
+      sig = combine(sig, color[g.edge(e).dst]);
+      edges += combine(sig, k == kFull ? cost[e] : kBlankCost);
+    }
+    std::uint64_t h = combine(combine(kFinalTag, n), m);
+    h = combine(combine(h, side[k].rounds), nodes);
+    return combine(h, edges);
+  };
   Fingerprint fp;
-  fp.full = wl_digest(platform, role_seed, /*with_metrics=*/true);
-  fp.structure = wl_digest(platform, role_seed, /*with_metrics=*/false);
+  fp.full = digest(kFull);
+  fp.structure = digest(kStructure);
   return fp;
 }
 
 Fingerprint fingerprint(const ScatterInstance& instance) {
   std::vector<std::uint64_t> seeds(instance.platform.num_nodes(), 0);
-  seed(seeds, instance.source, kSourceTag);
+  seed(seeds, instance.source, kSourceTag, 0, "scatter: bad source node");
   for (std::size_t i = 0; i < instance.targets.size(); ++i) {
-    seed(seeds, instance.targets[i], kTargetTag, i + 1);
+    seed(seeds, instance.targets[i], kTargetTag, i + 1,
+         "scatter: bad target node");
   }
   Fingerprint fp = fingerprint_platform(instance.platform, seeds);
   fp.full = combine(combine(fp.full, kScatterOp),
@@ -135,10 +200,11 @@ Fingerprint fingerprint(const ScatterInstance& instance) {
 Fingerprint fingerprint(const GossipInstance& instance) {
   std::vector<std::uint64_t> seeds(instance.platform.num_nodes(), 0);
   for (std::size_t i = 0; i < instance.sources.size(); ++i) {
-    seed(seeds, instance.sources[i], kGossipSourceTag, i + 1);
+    seed(seeds, instance.sources[i], kGossipSourceTag, i + 1,
+         "gossip: bad source");
   }
   for (std::size_t i = 0; i < instance.targets.size(); ++i) {
-    seed(seeds, instance.targets[i], kTargetTag, i + 1);
+    seed(seeds, instance.targets[i], kTargetTag, i + 1, "gossip: bad target");
   }
   Fingerprint fp = fingerprint_platform(instance.platform, seeds);
   fp.full = combine(combine(fp.full, kGossipOp),
@@ -150,9 +216,10 @@ Fingerprint fingerprint(const GossipInstance& instance) {
 Fingerprint fingerprint(const ReduceInstance& instance) {
   std::vector<std::uint64_t> seeds(instance.platform.num_nodes(), 0);
   for (std::size_t i = 0; i < instance.participants.size(); ++i) {
-    seed(seeds, instance.participants[i], kParticipantTag, i + 1);
+    seed(seeds, instance.participants[i], kParticipantTag, i + 1,
+         "reduce: bad participant node");
   }
-  seed(seeds, instance.target, kReduceTargetTag);
+  seed(seeds, instance.target, kReduceTargetTag, 0, "reduce: bad target node");
   Fingerprint fp = fingerprint_platform(instance.platform, seeds);
   fp.full = combine(combine(fp.full, kReduceOp),
                     hash_rational(instance.message_size));

@@ -20,10 +20,23 @@
 // not enter the hash (node NAMES are also excluded — they commonly encode
 // ids). Instead a Weisfeiler-Leman color refinement assigns each node a
 // label-independent color from its role, metrics and neighborhood, and the
-// digest folds the sorted multiset of node colors and edge signatures. A
-// relabeled copy of a platform (with correspondingly relabeled roles)
-// therefore fingerprints identically, while any change to topology, roles,
-// or (for `full`) metrics moves the digest.
+// digest folds the multiset of node colors and edge signatures. A relabeled
+// copy of a platform (with correspondingly relabeled roles) therefore
+// fingerprints identically, while any change to topology, roles, or (for
+// `full`) metrics moves the digest.
+//
+// One refinement yields both digests, and it is nearly all the cost of an
+// exact cache hit. It hashes each cost and speed once and walks one neighbor
+// CSR per round for both colorings. A node's neighbor multiset is folded as
+// a sum of mixed (color ^ arc tag) terms, so nothing is sorted. Each coloring
+// stops at the first round that adds no color class: the partition is then
+// stable and further rounds cannot separate more nodes. The round count is
+// capped at max(4, bit_width(n + 1) + 1) and folded into the digest. On the
+// dense n=32, 16-target scatter platforms the service benchmark drifts, the
+// partition is stable after one round, and one digest costs about 0.02 ms.
+//
+// The request overloads validate role ids: an id outside the platform
+// throws std::invalid_argument, worded like the solvers' instance checks.
 
 #include <cstdint>
 #include <vector>

@@ -150,9 +150,11 @@ class PlanService {
   /// Submits one planning request. Returns immediately; the future is
   /// fulfilled inline on an exact cache hit, else by a worker. Throws a
   /// typed ServiceError (a std::runtime_error): kShutdown during/after
-  /// shutdown, kOverloaded when admission control sheds the request. A
-  /// request whose solve throws (e.g. unreachable target) forwards the
-  /// exception through the future to every deduplicated waiter.
+  /// shutdown, kOverloaded when admission control sheds the request; and
+  /// std::invalid_argument, before any counter moves, for a role id outside
+  /// the platform. A request whose solve throws (e.g. unreachable target)
+  /// forwards the exception through the future to every deduplicated
+  /// waiter.
   [[nodiscard]] std::future<PlanResult> submit(PlanRequest request);
 
   /// Blocks until the service is idle: both lanes empty, no worker mid-
@@ -180,9 +182,10 @@ class PlanService {
   /// Submits `request` (cache/warm/cold as usual), runs the resulting plan
   /// through the execution data plane, feeds the observed per-edge rates
   /// back as a platform::PlatformDelta, and — when drift exceeds the
-  /// threshold — re-submits the corrected request through the warm-start
-  /// path. Blocks until the run (and any re-solve) finishes; executor
-  /// counters land in metrics().
+  /// threshold — invalidates the executed plan and re-submits the corrected
+  /// request (cold, unless another same-structure plan is cached). Blocks
+  /// until the run (and any re-solve) finishes; executor counters land in
+  /// metrics().
   [[nodiscard]] ExecuteResult execute(const PlanRequest& request,
                                       const ExecuteOptions& options = {});
 

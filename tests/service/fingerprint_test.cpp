@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "platform/delta.h"
@@ -40,6 +41,41 @@ Platform relabel(const Platform& p, const std::vector<NodeId>& new_of) {
   return Platform(std::move(g), std::move(costs), std::move(speeds));
 }
 
+std::vector<NodeId> relabel(const std::vector<NodeId>& nodes,
+                            const std::vector<NodeId>& new_of) {
+  std::vector<NodeId> out;
+  for (NodeId v : nodes) out.push_back(new_of[v]);
+  return out;
+}
+
+// The same instance on relabel(platform, new_of), roles following the nodes.
+ScatterInstance relabel(const ScatterInstance& a,
+                        const std::vector<NodeId>& new_of) {
+  ScatterInstance b = a;
+  b.platform = relabel(a.platform, new_of);
+  b.source = new_of[a.source];
+  b.targets = relabel(a.targets, new_of);
+  return b;
+}
+
+GossipInstance relabel(const GossipInstance& a,
+                       const std::vector<NodeId>& new_of) {
+  GossipInstance b = a;
+  b.platform = relabel(a.platform, new_of);
+  b.sources = relabel(a.sources, new_of);
+  b.targets = relabel(a.targets, new_of);
+  return b;
+}
+
+ReduceInstance relabel(const ReduceInstance& a,
+                       const std::vector<NodeId>& new_of) {
+  ReduceInstance b = a;
+  b.platform = relabel(a.platform, new_of);
+  b.participants = relabel(a.participants, new_of);
+  b.target = new_of[a.target];
+  return b;
+}
+
 std::vector<NodeId> rotation(std::size_t n, std::size_t shift) {
   std::vector<NodeId> new_of(n);
   for (NodeId v = 0; v < n; ++v) new_of[v] = (v + shift) % n;
@@ -48,14 +84,26 @@ std::vector<NodeId> rotation(std::size_t n, std::size_t shift) {
 
 TEST(FingerprintTest, RelabeledPlatformFingerprintsIdentically) {
   for (std::uint64_t seed : {7u, 21u, 99u}) {
-    ScatterInstance a = random_scatter_instance(seed, 12, 5);
-    const std::vector<NodeId> new_of = rotation(12, 5);
-    ScatterInstance b;
-    b.platform = relabel(a.platform, new_of);
-    b.source = new_of[a.source];
-    for (NodeId t : a.targets) b.targets.push_back(new_of[t]);
-    b.message_size = a.message_size;
-    EXPECT_EQ(fingerprint(a), fingerprint(b)) << "seed " << seed;
+    const ScatterInstance a = random_scatter_instance(seed, 12, 5);
+    EXPECT_EQ(fingerprint(a), fingerprint(relabel(a, rotation(12, 5))))
+        << "seed " << seed;
+
+    const ReduceInstance r = testing::random_reduce_instance(seed, 12, 4);
+    EXPECT_EQ(fingerprint(r), fingerprint(relabel(r, rotation(12, 7))))
+        << "reduce seed " << seed;
+
+    GossipInstance g;
+    g.platform = random_platform(seed, 12);
+    g.sources = {0, 1};
+    g.targets = {9, 10, 11};
+    EXPECT_EQ(fingerprint(g), fingerprint(relabel(g, rotation(12, 4))))
+        << "gossip seed " << seed;
+
+    // The service benchmark's drifting shape: dense n=32, 16 targets.
+    const ScatterInstance dense = random_scatter_instance(seed, 32, 16);
+    EXPECT_EQ(fingerprint(dense),
+              fingerprint(relabel(dense, rotation(32, 13))))
+        << "n=32 seed " << seed;
   }
 }
 
@@ -167,7 +215,7 @@ TEST(FingerprintTest, NoCollisionsAcrossRandomFamily) {
   std::set<std::uint64_t> structure_digests;
   std::size_t count = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    for (std::size_t n : {8u, 12u}) {
+    for (std::size_t n : {8u, 12u, 32u}) {
       ScatterInstance inst = random_scatter_instance(seed, n, 3);
       const Fingerprint fp = fingerprint(inst);
       full_digests.insert(fp.full);
@@ -179,6 +227,46 @@ TEST(FingerprintTest, NoCollisionsAcrossRandomFamily) {
   // Distinct random topologies must also separate structurally (same-seed
   // platforms differ in edges, not just costs).
   EXPECT_EQ(structure_digests.size(), count);
+}
+
+/// A 13-node path 0-1-...-12 with a pendant node hung off path node `at`;
+/// unit costs and speeds.
+Platform pendant_path(NodeId at) {
+  graph::Digraph g(14);
+  for (NodeId v = 0; v + 1 < 13; ++v) g.add_bidirectional(v, v + 1);
+  g.add_bidirectional(at, 13);
+  const std::size_t m = g.num_edges();
+  return Platform(std::move(g), std::vector<Rational>(m, Rational(1)),
+                  std::vector<Rational>(14, Rational(1)));
+}
+
+TEST(FingerprintTest, PendantPathPositionsSeparate) {
+  // Only the distance from the branch node to the path's ends tells these
+  // platforms apart, and it takes three rounds of refinement to see it: a
+  // refinement stopped after one or two rounds merges adjacent positions.
+  std::set<std::uint64_t> digests;
+  for (NodeId at = 1; at <= 6; ++at) {
+    const Fingerprint fp = fingerprint_platform(pendant_path(at));
+    digests.insert(fp.full);
+    digests.insert(fp.structure);
+  }
+  EXPECT_EQ(digests.size(), 12u);
+  // Position 8 is position 4 seen from the other end of the path.
+  EXPECT_EQ(fingerprint_platform(pendant_path(4)),
+            fingerprint_platform(pendant_path(8)));
+}
+
+TEST(FingerprintTest, RoleIdsOutsideThePlatformAreRejected) {
+  ScatterInstance bad_target = random_scatter_instance(43, 4, 2);
+  bad_target.targets.back() = 40;
+  try {
+    (void)fingerprint(bad_target);
+    ADD_FAILURE() << "out-of-range target fingerprinted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "scatter: bad target node");
+  }
+  EXPECT_THROW((void)fingerprint_platform(bad_target.platform, {1, 2}),
+               std::invalid_argument);
 }
 
 TEST(FingerprintTest, DeterministicAcrossCalls) {

@@ -193,6 +193,67 @@ TEST(PlanServiceTest, SolveFailurePropagatesToEveryWaiter) {
   EXPECT_EQ(service.metrics().cold_solves, 0u);
 }
 
+TEST(PlanServiceTest, OutOfRangeRoleThrowsBeforeAnyCounterMoves) {
+  PlanServiceOptions options;
+  options.num_workers = 1;
+  PlanService service(options);
+
+  // A served request first, so the counters under test are not all zero.
+  platform::ScatterInstance valid;
+  valid.platform = testing::random_platform(3, 4);
+  valid.source = 0;
+  valid.targets = {2, 3};
+  PlanRequest request;
+  request.instance = valid;
+  (void)service.submit(request).get();
+
+  // The request digest runs before any solver validates the instance: a
+  // role id past the platform's 4 nodes must be rejected there.
+  constexpr graph::NodeId kBad = 40;
+  std::vector<PlanRequest> malformed;
+  auto add = [&](auto instance) {
+    malformed.emplace_back().instance = instance;
+  };
+  {
+    platform::ScatterInstance s = valid;
+    s.source = kBad;
+    add(s);
+    s = valid;
+    s.targets = {2, kBad};
+    add(s);
+  }
+  {
+    platform::GossipInstance g;
+    g.platform = valid.platform;
+    g.sources = {kBad};
+    g.targets = {2, 3};
+    add(g);
+    g.sources = {0};
+    g.targets = {kBad, 3};
+    add(g);
+  }
+  {
+    platform::ReduceInstance r;
+    r.platform = valid.platform;
+    r.participants = {1, kBad};
+    r.target = 1;
+    add(r);
+    r.participants = {1, 2};
+    r.target = kBad;
+    add(r);
+  }
+
+  const obs::Snapshot before = service.metrics_snapshot();
+  for (const PlanRequest& bad : malformed) {
+    EXPECT_THROW((void)service.submit(bad), std::invalid_argument)
+        << to_string(bad.operation());
+  }
+  const obs::Snapshot after = service.metrics_snapshot();
+  EXPECT_EQ(after.value("service_submitted"),
+            before.value("service_submitted"));
+  EXPECT_EQ(after.value("cache_lookups"), before.value("cache_lookups"));
+}
+
 TEST(PlanServiceTest, MetricsBalanceAfterDrain) {
   PlanServiceOptions options;
   options.num_workers = 2;

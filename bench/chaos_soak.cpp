@@ -144,27 +144,27 @@ void BM_ChaosSoak(benchmark::State& state) {
     for (auto& f : fillers) (void)f.get();
     svc.drain();
 
-    const service::ServiceMetrics m = svc.metrics();
-    const service::ServiceMetrics fm = flooded.metrics();
-    if (m.accepted + m.shed != m.submitted) ++unreported;
-    if (fm.accepted + fm.shed != fm.submitted) ++unreported;
+    const obs::Snapshot m = svc.metrics_snapshot();
+    const obs::Snapshot fm = flooded.metrics_snapshot();
+    auto balanced = [](const obs::Snapshot& snap) {
+      return snap.value("service_accepted") + snap.value("service_shed") ==
+             snap.value("service_submitted");
+    };
+    if (!balanced(m)) ++unreported;
+    if (!balanced(fm)) ++unreported;
     state.counters["degraded_efficiency_permille"] =
         eff_runs == 0 ? 0.0
                       : static_cast<double>(static_cast<std::int64_t>(
                             1000.0 * eff_sum / static_cast<double>(eff_runs)));
     state.counters["shed_errors_unreported"] =
         static_cast<double>(unreported);
-    state.counters["faults_injected"] =
-        static_cast<double>(m.exec_faults_injected);
-    state.counters["retransmits"] = static_cast<double>(m.exec_retransmits);
-    state.counters["requests_shed"] = static_cast<double>(fm.shed);
-    state.counters["deadline_misses"] = static_cast<double>(m.deadline_misses);
-    state.counters["degraded_served"] =
-        static_cast<double>(m.degraded_served);
-    state.counters["oneport_violations"] =
-        static_cast<double>(m.exec_oneport_violations);
-    state.counters["delivery_errors"] =
-        static_cast<double>(m.exec_delivery_errors);
+    state.counters["faults_injected"] = m.value("exec_faults_injected");
+    state.counters["retransmits"] = m.value("exec_retransmits");
+    state.counters["requests_shed"] = fm.value("service_shed");
+    state.counters["deadline_misses"] = m.value("service_deadline_misses");
+    state.counters["degraded_served"] = m.value("service_degraded_served");
+    state.counters["oneport_violations"] = m.value("exec_oneport_violations");
+    state.counters["delivery_errors"] = m.value("exec_delivery_errors");
   }
 }
 BENCHMARK(BM_ChaosSoak)->Iterations(1)->Unit(benchmark::kMillisecond)

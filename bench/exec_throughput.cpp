@@ -123,7 +123,7 @@ void BM_ExecDriftRecovery(benchmark::State& state) {
     state.counters["efficiency_after_permille"] = static_cast<double>(
         static_cast<std::int64_t>(recovered.report.efficiency * 1000));
     state.counters["drift_resolves"] =
-        static_cast<double>(svc.metrics().drift_resolves);
+        svc.metrics_snapshot().value("service_drift_resolves");
   }
 }
 BENCHMARK(BM_ExecDriftRecovery)->Iterations(1)

@@ -29,6 +29,7 @@
 #include "core/scatter_lp.h"
 #include "lp/exact_solver.h"
 #include "lp/parallel.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "platform/delta.h"
 #include "platform/paper_instances.h"
@@ -38,6 +39,19 @@
 using namespace ssco;
 
 namespace {
+
+/// `after` with every counter reduced by its value in `before`: the
+/// registry's record of the solves run between the two snapshots.
+obs::Snapshot counters_since(const obs::Snapshot& before,
+                             obs::Snapshot after) {
+  for (obs::Snapshot::Entry& e : after.entries) {
+    const obs::Snapshot::Entry* b = before.find(e.name);
+    if (b != nullptr && e.kind == obs::MetricKind::kCounter) {
+      e.counter -= b->counter;
+    }
+  }
+  return after;
+}
 
 void BM_ScatterLp(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -158,30 +172,29 @@ void BM_ScatterLpBreakdown(benchmark::State& state) {
   auto model = core::build_scatter_lp(inst);
   lp::ExactSolver solver;
   std::size_t factor_fill = 0;
+  const obs::Snapshot before = obs::Registry::global().snapshot();
   for (auto _ : state) {
     auto sol = solver.solve(model);
     benchmark::DoNotOptimize(sol.objective);
     factor_fill = std::max(factor_fill, sol.phase_times.factor_fill);
   }
-  const lp::SolverStats stats = solver.stats();
-  const double solves = static_cast<double>(stats.solves ? stats.solves : 1);
-  state.counters["ftran_ms"] =
-      static_cast<double>(stats.ftran_ns) / 1e6 / solves;
-  state.counters["btran_ms"] =
-      static_cast<double>(stats.btran_ns) / 1e6 / solves;
-  state.counters["pricing_ms"] =
-      static_cast<double>(stats.pricing_ns) / 1e6 / solves;
-  state.counters["factor_ms"] =
-      static_cast<double>(stats.factor_ns) / 1e6 / solves;
+  const obs::Snapshot stats =
+      counters_since(before, obs::Registry::global().snapshot());
+  const double solves = std::max(1.0, stats.value("solver_solves"));
+  auto per_solve_ms = [&](const char* ns_counter) {
+    return stats.value(ns_counter) / 1e6 / solves;
+  };
+  state.counters["ftran_ms"] = per_solve_ms("solver_ftran_ns");
+  state.counters["btran_ms"] = per_solve_ms("solver_btran_ns");
+  state.counters["pricing_ms"] = per_solve_ms("solver_pricing_ns");
+  state.counters["factor_ms"] = per_solve_ms("solver_factor_ns");
   state.counters["factor_fill_nonzeros"] = static_cast<double>(factor_fill);
   state.counters["presolve_rows_removed"] =
-      static_cast<double>(stats.presolve_rows_removed) / solves;
+      stats.value("solver_presolve_rows_removed") / solves;
   state.counters["presolve_cols_removed"] =
-      static_cast<double>(stats.presolve_cols_removed) / solves;
-  state.counters["certify_ms"] =
-      static_cast<double>(stats.certify_ns) / 1e6 / solves;
-  state.counters["pricing_sweep_ms"] =
-      static_cast<double>(stats.pricing_sweep_ns) / 1e6 / solves;
+      stats.value("solver_presolve_cols_removed") / solves;
+  state.counters["certify_ms"] = per_solve_ms("solver_certify_ns");
+  state.counters["pricing_sweep_ms"] = per_solve_ms("solver_pricing_sweep_ns");
   state.counters["threads"] =
       static_cast<double>(lp::resolve_threads(solver.options().threads));
 

@@ -5,7 +5,7 @@
 // through K chained one-edge cost perturbations; 8 client threads submit
 // 1008 requests against the drifting sequence (every variant is requested
 // by many clients, as in a real fan-in). The service should serve the
-// repeats as O(1) exact cache hits and each fresh variant as an
+// repeats as exact cache hits and each fresh variant as an
 // incremental warm re-solve from the previous variant's basis — so
 // plans/sec is dominated by cache arithmetic, not simplex pivots.
 //
@@ -65,7 +65,7 @@ struct WorkloadResult {
   double cold_seconds_per_plan = 0;
   std::size_t requests = 0;
   std::size_t mismatches = 0;
-  service::ServiceMetrics metrics;
+  obs::Snapshot metrics;  // PlanService::metrics_snapshot() after the run
 };
 
 WorkloadResult run_workload(const std::vector<platform::ScatterInstance>& variants,
@@ -110,7 +110,7 @@ WorkloadResult run_workload(const std::vector<platform::ScatterInstance>& varian
   out.serve_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  out.metrics = svc.metrics();
+  out.metrics = svc.metrics_snapshot();
 
   // Cold baseline: solve a spread of variants from scratch and average.
   // Only the cold solves themselves are timed; the service probes for the
@@ -144,14 +144,14 @@ void report(benchmark::State& state, const WorkloadResult& r) {
   state.counters["plans_per_sec"] = plans_per_sec;
   state.counters["cold_plans_per_sec"] = cold_plans_per_sec;
   state.counters["speedup"] = plans_per_sec / cold_plans_per_sec;
-  state.counters["hit_rate"] = r.metrics.hit_rate();
-  state.counters["exact_hits"] = static_cast<double>(r.metrics.exact_hits);
-  state.counters["warm_hits"] = static_cast<double>(r.metrics.warm_hits);
-  state.counters["cold_solves"] = static_cast<double>(r.metrics.cold_solves);
-  state.counters["dedup"] = static_cast<double>(r.metrics.deduplicated);
-  state.counters["p99_ms"] = r.metrics.p99_ms;
-  state.counters["mismatches"] = static_cast<double>(r.metrics.failed +
-                                                     r.mismatches);
+  state.counters["hit_rate"] = r.metrics.value("service_hit_rate");
+  state.counters["exact_hits"] = r.metrics.value("service_exact_hits");
+  state.counters["warm_hits"] = r.metrics.value("service_warm_hits");
+  state.counters["cold_solves"] = r.metrics.value("service_cold_solves");
+  state.counters["dedup"] = r.metrics.value("service_deduplicated");
+  state.counters["p99_ms"] = r.metrics.value("service_latency_p99_ms");
+  state.counters["mismatches"] = r.metrics.value("service_failed") +
+                                 static_cast<double>(r.mismatches);
 }
 
 void BM_ServiceThroughput(benchmark::State& state) {

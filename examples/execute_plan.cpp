@@ -123,14 +123,16 @@ int run_faults() {
     }
   }
 
-  const service::ServiceMetrics m = svc.metrics();
-  std::printf("\nfaults injected %zu | retransmits %zu | deadline misses %zu "
-              "| degraded served %zu | shed %zu\n",
-              m.exec_faults_injected, m.exec_retransmits, m.deadline_misses,
-              m.degraded_served, m.shed);
-  std::printf("one-port violations %zu | delivery errors %zu (both must be "
+  const obs::Snapshot m = svc.metrics_snapshot();
+  std::printf("\nfaults injected %.0f | retransmits %.0f | deadline misses "
+              "%.0f | degraded served %.0f | shed %.0f\n",
+              m.value("exec_faults_injected"), m.value("exec_retransmits"),
+              m.value("service_deadline_misses"),
+              m.value("service_degraded_served"), m.value("service_shed"));
+  std::printf("one-port violations %.0f | delivery errors %.0f (both must be "
               "0: faults degrade throughput, never correctness)\n",
-              m.exec_oneport_violations, m.exec_delivery_errors);
+              m.value("exec_oneport_violations"),
+              m.value("exec_delivery_errors"));
   return 0;
 }
 
@@ -178,8 +180,10 @@ int main(int argc, char** argv) {
     report("after warm re-solve", svc.execute(slow.drifted_request, event));
   }
 
-  std::printf("\n%s\n", service::format_metrics(svc.metrics()).c_str());
-  std::printf("%s\n", svc.metrics_snapshot().prometheus().c_str());
+  const obs::Snapshot snapshot = svc.metrics_snapshot();
+  std::printf("\n%s\n",
+              service::format_metrics(snapshot, svc.shard_metrics()).c_str());
+  std::printf("%s\n", snapshot.prometheus().c_str());
 
   if (trace_path != nullptr) {
     obs::Trace::disable();

@@ -9,8 +9,9 @@
 //
 // Watch the sources in the output: the first request of a tick solves cold
 // or warm (incremental re-solve from the previous tick's basis); every
-// repeat within a tick is an O(1) exact cache hit. The metrics table at
-// the end is the service's own accounting (src/service/metrics.h).
+// repeat within a tick is an exact cache hit, which runs no solve. The
+// metrics table at the end renders the service's own registry snapshot
+// (src/service/metrics.h).
 //
 // Build & run:
 //   cmake -B build -S . && cmake --build build --target example_plan_service_demo
@@ -117,6 +118,8 @@ int main() {
   gossip_client.join();
   svc.drain();
 
-  std::cout << "\n" << service::format_metrics(svc.metrics());
+  std::cout << "\n"
+            << service::format_metrics(svc.metrics_snapshot(),
+                                       svc.shard_metrics());
   return 0;
 }

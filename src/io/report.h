@@ -27,7 +27,7 @@ namespace ssco::io {
 
 /// Milliseconds rendering of a nanosecond count, e.g. millis(12'345'678)
 /// == "12.35 ms" — used for the solver's FTRAN/BTRAN/pricing/factor
-/// wall-clock breakdown (lp::SolverStats).
+/// wall-clock breakdown (the solver_*_ns registry counters).
 [[nodiscard]] std::string millis(std::uint64_t nanos, int digits = 2);
 
 /// JSON string-literal escaping (quotes, backslashes; control characters

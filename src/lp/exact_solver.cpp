@@ -368,33 +368,6 @@ bool certify_float_result(const ExpandedModel& em,
   return false;
 }
 
-SolverStats ExactSolver::stats() const {
-  SolverStats out;
-  out.solves = stats_.solves.load(std::memory_order_relaxed);
-  out.warm_attempts = stats_.warm_attempts.load(std::memory_order_relaxed);
-  out.warm_solves = stats_.warm_solves.load(std::memory_order_relaxed);
-  out.float_pivots = stats_.float_pivots.load(std::memory_order_relaxed);
-  out.exact_pivots = stats_.exact_pivots.load(std::memory_order_relaxed);
-  out.exact_fallbacks =
-      stats_.exact_fallbacks.load(std::memory_order_relaxed);
-  out.presolve_rows_removed =
-      stats_.presolve_rows_removed.load(std::memory_order_relaxed);
-  out.presolve_cols_removed =
-      stats_.presolve_cols_removed.load(std::memory_order_relaxed);
-  out.ftran_ns = stats_.ftran_ns.load(std::memory_order_relaxed);
-  out.btran_ns = stats_.btran_ns.load(std::memory_order_relaxed);
-  out.pricing_ns = stats_.pricing_ns.load(std::memory_order_relaxed);
-  out.factor_ns = stats_.factor_ns.load(std::memory_order_relaxed);
-  out.certify_ns = stats_.certify_ns.load(std::memory_order_relaxed);
-  out.pricing_sweep_ns =
-      stats_.pricing_sweep_ns.load(std::memory_order_relaxed);
-  out.colgen_solves = stats_.colgen_solves.load(std::memory_order_relaxed);
-  out.colgen_rounds = stats_.colgen_rounds.load(std::memory_order_relaxed);
-  out.colgen_columns_generated =
-      stats_.colgen_columns_generated.load(std::memory_order_relaxed);
-  return out;
-}
-
 ExactSolution ExactSolver::solve(const Model& model,
                                  SolveContext* context) const {
   ExactSolution out = solve_impl(model, context);
@@ -413,77 +386,90 @@ Parallel ExactSolver::solve_parallel(const SolveContext* context) const {
 
 namespace {
 
-/// Mirrors one finished solve into the process-wide registry: counters the
-/// Prometheus/JSON expositions serve, plus per-phase latency histograms
-/// (the registry-backed replacement for eyeballing SolvePhaseTimes). All
-/// bumps share one Batch so a concurrent snapshot sees the whole solve or
-/// none of it.
-void publish_solve(const ExactSolution& out) {
-  obs::Registry& reg = obs::Registry::global();
-  obs::Registry::Batch batch(reg);
-  reg.counter("solver_solves", "completed exact solves").add(1);
-  reg.counter("solver_float_pivots").add(out.float_iterations);
-  reg.counter("solver_exact_pivots").add(out.exact_iterations);
-  if (out.warm_started) reg.counter("solver_warm_solves").add(1);
-  if (out.exact_iterations > 0) reg.counter("solver_exact_fallbacks").add(1);
-  reg.counter("solver_ftran_ns").add(out.phase_times.ftran_ns);
-  reg.counter("solver_btran_ns").add(out.phase_times.btran_ns);
-  reg.counter("solver_pricing_ns").add(out.phase_times.pricing_ns);
-  reg.counter("solver_factor_ns").add(out.phase_times.factor_ns);
-  reg.counter("solver_certify_ns").add(out.phase_times.certify_ns);
-  reg.counter("solver_pricing_sweep_ns").add(out.phase_times.pricing_sweep_ns);
-  reg.histogram("solver_certify_ms", "per-solve certification latency")
-      .record(static_cast<double>(out.phase_times.certify_ns) / 1e6);
-  reg.histogram("solver_factor_ms", "per-solve factorization latency")
-      .record(static_cast<double>(out.phase_times.factor_ns) / 1e6);
-  reg.histogram("solver_pricing_ms", "per-solve pricing latency")
-      .record(static_cast<double>(out.phase_times.pricing_ns) / 1e6);
+/// Every solver_* handle, registered together on first use: a snapshot
+/// taken after any solve lists all of them, and recording a solve takes no
+/// name lookup.
+struct SolverMetrics {
+  obs::Counter& solves;
+  obs::Counter& float_pivots;
+  obs::Counter& exact_pivots;
+  obs::Counter& warm_attempts;
+  obs::Counter& warm_solves;
+  obs::Counter& exact_fallbacks;
+  obs::Counter& presolve_rows_removed;
+  obs::Counter& presolve_cols_removed;
+  obs::Counter& colgen_solves;
+  obs::Counter& colgen_rounds;
+  obs::Counter& colgen_columns_generated;
+  obs::Counter& ftran_ns;
+  obs::Counter& btran_ns;
+  obs::Counter& pricing_ns;
+  obs::Counter& factor_ns;
+  obs::Counter& certify_ns;
+  obs::Counter& pricing_sweep_ns;
+  obs::Histogram& certify_ms;
+  obs::Histogram& factor_ms;
+  obs::Histogram& pricing_ms;
+};
+
+const SolverMetrics& solver_metrics() {
+  static const SolverMetrics m = [] {
+    obs::Registry& reg = obs::Registry::global();
+    return SolverMetrics{
+        reg.counter("solver_solves", "completed exact solves"),
+        reg.counter("solver_float_pivots"),
+        reg.counter("solver_exact_pivots"),
+        reg.counter("solver_warm_attempts"),
+        reg.counter("solver_warm_solves"),
+        reg.counter("solver_exact_fallbacks"),
+        reg.counter("solver_presolve_rows_removed"),
+        reg.counter("solver_presolve_cols_removed"),
+        reg.counter("solver_colgen_solves"),
+        reg.counter("solver_colgen_rounds"),
+        reg.counter("solver_colgen_columns_generated"),
+        reg.counter("solver_ftran_ns"),
+        reg.counter("solver_btran_ns"),
+        reg.counter("solver_pricing_ns"),
+        reg.counter("solver_factor_ns"),
+        reg.counter("solver_certify_ns"),
+        reg.counter("solver_pricing_sweep_ns"),
+        reg.histogram("solver_certify_ms", "per-solve certification latency"),
+        reg.histogram("solver_factor_ms", "per-solve factorization latency"),
+        reg.histogram("solver_pricing_ms", "per-solve pricing latency")};
+  }();
+  return m;
 }
 
 }  // namespace
 
 void ExactSolver::record_solve(const ExactSolution& out,
-                               const SolveContext* context) const {
-  // Aggregate telemetry: relaxed atomics, safe under concurrent solves (see
-  // the thread-safety contract in the header).
-  stats_.solves.fetch_add(1, std::memory_order_relaxed);
-  stats_.float_pivots.fetch_add(out.float_iterations,
-                                std::memory_order_relaxed);
-  stats_.exact_pivots.fetch_add(out.exact_iterations,
-                                std::memory_order_relaxed);
-  if (context && context->warm_attempted) {
-    stats_.warm_attempts.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (out.warm_started) {
-    stats_.warm_solves.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (out.exact_iterations > 0) {
-    stats_.exact_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  }
-  stats_.presolve_rows_removed.fetch_add(out.presolve_rows_removed,
-                                         std::memory_order_relaxed);
-  stats_.presolve_cols_removed.fetch_add(out.presolve_cols_removed,
-                                         std::memory_order_relaxed);
-  stats_.ftran_ns.fetch_add(out.phase_times.ftran_ns,
-                            std::memory_order_relaxed);
-  stats_.btran_ns.fetch_add(out.phase_times.btran_ns,
-                            std::memory_order_relaxed);
-  stats_.pricing_ns.fetch_add(out.phase_times.pricing_ns,
-                              std::memory_order_relaxed);
-  stats_.factor_ns.fetch_add(out.phase_times.factor_ns,
-                             std::memory_order_relaxed);
-  stats_.certify_ns.fetch_add(out.phase_times.certify_ns,
-                              std::memory_order_relaxed);
-  stats_.pricing_sweep_ns.fetch_add(out.phase_times.pricing_sweep_ns,
-                                    std::memory_order_relaxed);
+                               const SolveContext* context) {
+  const SolverMetrics& m = solver_metrics();
+  // One Batch: a concurrent snapshot sees the whole solve or none of it.
+  obs::Registry::Batch batch(obs::Registry::global());
+  m.solves.add(1);
+  m.float_pivots.add(out.float_iterations);
+  m.exact_pivots.add(out.exact_iterations);
+  if (context && context->warm_attempted) m.warm_attempts.add(1);
+  if (out.warm_started) m.warm_solves.add(1);
+  if (out.exact_iterations > 0) m.exact_fallbacks.add(1);
+  m.presolve_rows_removed.add(out.presolve_rows_removed);
+  m.presolve_cols_removed.add(out.presolve_cols_removed);
   if (out.colgen_rounds > 0 || out.colgen_columns_total > 0) {
-    stats_.colgen_solves.fetch_add(1, std::memory_order_relaxed);
-    stats_.colgen_rounds.fetch_add(out.colgen_rounds,
-                                   std::memory_order_relaxed);
-    stats_.colgen_columns_generated.fetch_add(out.colgen_columns_generated,
-                                              std::memory_order_relaxed);
+    m.colgen_solves.add(1);
+    m.colgen_rounds.add(out.colgen_rounds);
+    m.colgen_columns_generated.add(out.colgen_columns_generated);
   }
-  publish_solve(out);
+  const SolvePhaseTimes& t = out.phase_times;
+  m.ftran_ns.add(t.ftran_ns);
+  m.btran_ns.add(t.btran_ns);
+  m.pricing_ns.add(t.pricing_ns);
+  m.factor_ns.add(t.factor_ns);
+  m.certify_ns.add(t.certify_ns);
+  m.pricing_sweep_ns.add(t.pricing_sweep_ns);
+  m.certify_ms.record(static_cast<double>(t.certify_ns) / 1e6);
+  m.factor_ms.record(static_cast<double>(t.factor_ns) / 1e6);
+  m.pricing_ms.record(static_cast<double>(t.pricing_ns) / 1e6);
 }
 
 ExactSolution ExactSolver::solve_impl(const Model& model,

@@ -24,7 +24,6 @@
 // The result is bit-exact and carries a `certified` flag describing which
 // path proved it.
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -146,45 +145,9 @@ struct ExactSolverOptions {
   SimplexOptions simplex;
 };
 
-/// Aggregate solve telemetry, accumulated across every solve() made on one
-/// ExactSolver with relaxed atomics — safe to bump from concurrent solves
-/// and to read at any time (each counter is individually consistent; the
-/// set is not a snapshot). Per-solve numbers live in ExactSolution.
-struct SolverStats {
-  std::uint64_t solves = 0;
-  std::uint64_t warm_attempts = 0;
-  /// Warm attempts that produced the certified answer (no cold fallback).
-  std::uint64_t warm_solves = 0;
-  std::uint64_t float_pivots = 0;
-  std::uint64_t exact_pivots = 0;
-  /// Solves that needed the exact rational simplex.
-  std::uint64_t exact_fallbacks = 0;
-  /// Rows/columns removed by presolve, summed over solves.
-  std::uint64_t presolve_rows_removed = 0;
-  std::uint64_t presolve_cols_removed = 0;
-  /// Float-engine wall-clock split, summed over solves (render with
-  /// io::millis): where the simplex time actually goes — FTRAN, BTRAN,
-  /// pricing scans, LU refactorization.
-  std::uint64_t ftran_ns = 0;
-  std::uint64_t btran_ns = 0;
-  std::uint64_t pricing_ns = 0;
-  std::uint64_t factor_ns = 0;
-  /// Exact-certification wall-clock (certificate reconstruction + basis
-  /// verification), and the colgen pricing-sweep wall-clock (float rounds +
-  /// the final exact sweep) — the two buckets the parallel fabric shards.
-  std::uint64_t certify_ns = 0;
-  std::uint64_t pricing_sweep_ns = 0;
-  /// Column-generation totals (solve_colgen calls only).
-  std::uint64_t colgen_solves = 0;
-  std::uint64_t colgen_rounds = 0;
-  std::uint64_t colgen_columns_generated = 0;
-};
-
 /// Thread-safety contract:
-///  * An ExactSolver is immutable after construction apart from its atomic
-///    stats block; solve() is const and re-entrant, so ONE solver may run
-///    ANY number of concurrent solves (the plan service's worker pool does
-///    exactly this).
+///  * An ExactSolver is immutable after construction; solve() is const and
+///    re-entrant, so one solver may run any number of concurrent solves.
 ///  * Each solve may itself be INTERNALLY parallel: the certificate
 ///    verification and pricing sweeps shard across the process-wide
 ///    ThreadPool (lp/parallel.h) under the solve's thread budget
@@ -198,8 +161,9 @@ struct SolverStats {
 ///  * Each concurrent solve must use its OWN SolveContext (or none) — a
 ///    SolveContext is the single-threaded warm-start thread of one request
 ///    stream, and sharing one across threads is a data race.
-///  * Per-solve statistics are returned by value in ExactSolution;
-///    stats() aggregates across threads with relaxed atomics.
+///  * Per-solve statistics are returned by value in ExactSolution; every
+///    finished solve also lands in obs::Registry::global() (the solver_*
+///    counters and per-phase histograms), one Registry::Batch per solve.
 ///  * Results are BIT-IDENTICAL at every thread budget: shard boundaries
 ///    are deterministic and merges are ordered (exact rational partials are
 ///    grouping-invariant; float candidate lists merge in serial scan
@@ -239,10 +203,6 @@ class ExactSolver {
                                            const ColGenOptions& colgen,
                                            SolveContext* context = nullptr) const;
 
-  /// Consistent-per-counter snapshot of the aggregate stats (see
-  /// SolverStats; values only grow).
-  [[nodiscard]] SolverStats stats() const;
-
   /// Verifies an exact primal/dual optimality certificate for the expanded
   /// model: returns true iff `x` is primal feasible, `y` is dual feasible,
   /// and c'x == b'y (all exact). Exposed for tests.
@@ -265,32 +225,12 @@ class ExactSolver {
   /// Resolves this solve's Parallel handle: the context's thread budget if
   /// set, else the options', on the injected pool or the shared one.
   [[nodiscard]] Parallel solve_parallel(const SolveContext* context) const;
-  /// Folds one finished solve into the atomic stats block (shared by
+  /// Adds one finished solve to the process-wide registry (shared by
   /// solve() and solve_colgen()).
-  void record_solve(const ExactSolution& solution,
-                    const SolveContext* context) const;
+  static void record_solve(const ExactSolution& solution,
+                           const SolveContext* context);
 
   ExactSolverOptions options_;
-  struct AtomicStats {
-    std::atomic<std::uint64_t> solves{0};
-    std::atomic<std::uint64_t> warm_attempts{0};
-    std::atomic<std::uint64_t> warm_solves{0};
-    std::atomic<std::uint64_t> float_pivots{0};
-    std::atomic<std::uint64_t> exact_pivots{0};
-    std::atomic<std::uint64_t> exact_fallbacks{0};
-    std::atomic<std::uint64_t> presolve_rows_removed{0};
-    std::atomic<std::uint64_t> presolve_cols_removed{0};
-    std::atomic<std::uint64_t> ftran_ns{0};
-    std::atomic<std::uint64_t> btran_ns{0};
-    std::atomic<std::uint64_t> pricing_ns{0};
-    std::atomic<std::uint64_t> factor_ns{0};
-    std::atomic<std::uint64_t> certify_ns{0};
-    std::atomic<std::uint64_t> pricing_sweep_ns{0};
-    std::atomic<std::uint64_t> colgen_solves{0};
-    std::atomic<std::uint64_t> colgen_rounds{0};
-    std::atomic<std::uint64_t> colgen_columns_generated{0};
-  };
-  mutable AtomicStats stats_;
 };
 
 /// Runs the exact certification ladder — rational reconstruction of the

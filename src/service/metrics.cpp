@@ -1,6 +1,9 @@
 #include "service/metrics.h"
 
+#include <cstdint>
+#include <span>
 #include <sstream>
+#include <string_view>
 
 #include "io/report.h"
 #include "io/table.h"
@@ -9,191 +12,121 @@ namespace ssco::service {
 
 namespace {
 
-/// Counter/gauge value rendered for the human table: counters as integers,
-/// gauges through the caller-supplied formatter.
 std::string as_count(const obs::Snapshot& snap, std::string_view name) {
-  return std::to_string(
-      static_cast<std::uint64_t>(snap.value(name)));
+  return std::to_string(static_cast<std::uint64_t>(snap.value(name)));
 }
 
 std::string as_millis(const obs::Snapshot& snap, std::string_view name) {
   return io::millis(static_cast<std::uint64_t>(snap.value(name)));
 }
 
+std::string as_percent(const obs::Snapshot& snap, std::string_view name) {
+  return io::percent(snap.value(name));
+}
+
+std::string as_ms(const obs::Snapshot& snap, std::string_view name) {
+  return io::fixed(snap.value(name), 3) + " ms";
+}
+
+std::string as_mb_per_sec(const obs::Snapshot& snap, std::string_view name) {
+  return io::fixed(snap.value(name) / 1e6, 2) + " MB/s";
+}
+
+using Render = std::string (*)(const obs::Snapshot&, std::string_view);
+
+struct Row {
+  const char* label;
+  const char* name;
+  Render render = as_count;
+};
+
+/// One "metric | value" table over `rows`, each read from `snap` by name.
+std::string table_of(const obs::Snapshot& snap, std::span<const Row> rows) {
+  io::Table table({"metric", "value"});
+  for (const Row& row : rows) {
+    table.add_row({row.label, row.render(snap, row.name)});
+  }
+  return table.to_string();
+}
+
+constexpr Row kServiceRows[] = {
+    {"submitted", "service_submitted"},
+    {"accepted", "service_accepted"},
+    {"shed (overloaded)", "service_shed"},
+    {"deadline misses", "service_deadline_misses"},
+    {"degraded served", "service_degraded_served"},
+    {"deduplicated", "service_deduplicated"},
+    {"exact hits", "service_exact_hits"},
+    {"warm hits", "service_warm_hits"},
+    {"cold solves", "service_cold_solves"},
+    {"failed", "service_failed"},
+    {"hit rate", "service_hit_rate", as_percent},
+    {"queue depth", "service_queue_depth"},
+    {"max queue depth", "service_max_queue_depth"},
+    {"latency p50", "service_latency_p50_ms", as_ms},
+    {"latency p90", "service_latency_p90_ms", as_ms},
+    {"latency p99", "service_latency_p99_ms", as_ms},
+};
+
+constexpr Row kDataPlaneRows[] = {
+    {"executions", "service_executions"},
+    {"drift re-solves", "service_drift_resolves"},
+    {"one-port violations", "exec_oneport_violations"},
+    {"delivery errors", "exec_delivery_errors"},
+    {"faults injected", "exec_faults_injected"},
+    {"retransmits", "exec_retransmits"},
+    {"last efficiency", "exec_last_efficiency", as_percent},
+    {"last achieved", "exec_last_achieved_bytes_per_sec", as_mb_per_sec},
+    {"last certified", "exec_last_certified_bytes_per_sec", as_mb_per_sec},
+};
+
+constexpr Row kSolverRows[] = {
+    {"solves", "solver_solves"},
+    {"float pivots", "solver_float_pivots"},
+    {"exact pivots", "solver_exact_pivots"},
+    {"warm attempts", "solver_warm_attempts"},
+    {"warm solves", "solver_warm_solves"},
+    {"exact fallbacks", "solver_exact_fallbacks"},
+    {"presolve rows removed", "solver_presolve_rows_removed"},
+    {"presolve cols removed", "solver_presolve_cols_removed"},
+    {"colgen solves", "solver_colgen_solves"},
+    {"colgen rounds", "solver_colgen_rounds"},
+    {"colgen columns generated", "solver_colgen_columns_generated"},
+    {"ftran time", "solver_ftran_ns", as_millis},
+    {"btran time", "solver_btran_ns", as_millis},
+    {"pricing time", "solver_pricing_ns", as_millis},
+    {"factorization time", "solver_factor_ns", as_millis},
+    {"certify time", "solver_certify_ns", as_millis},
+    {"pricing sweep time", "solver_pricing_sweep_ns", as_millis},
+};
+
 }  // namespace
 
-obs::Snapshot snapshot_of(const ServiceMetrics& metrics) {
-  obs::Registry reg;
-  reg.counter("service_submitted").set(metrics.submitted);
-  reg.counter("service_accepted").set(metrics.accepted);
-  reg.counter("service_shed").set(metrics.shed);
-  reg.counter("service_deadline_misses").set(metrics.deadline_misses);
-  reg.counter("service_degraded_served").set(metrics.degraded_served);
-  reg.counter("service_deduplicated").set(metrics.deduplicated);
-  reg.counter("service_exact_hits").set(metrics.exact_hits);
-  reg.counter("service_warm_hits").set(metrics.warm_hits);
-  reg.counter("service_cold_solves").set(metrics.cold_solves);
-  reg.counter("service_failed").set(metrics.failed);
-  reg.gauge("service_hit_rate").set(metrics.hit_rate());
-  reg.gauge("service_queue_depth").set(static_cast<double>(metrics.queue_depth));
-  reg.gauge("service_max_queue_depth")
-      .set(static_cast<double>(metrics.max_queue_depth));
-  reg.counter("service_latency_samples").set(metrics.latency_samples);
-  reg.gauge("service_latency_p50_ms").set(metrics.p50_ms);
-  reg.gauge("service_latency_p90_ms").set(metrics.p90_ms);
-  reg.gauge("service_latency_p99_ms").set(metrics.p99_ms);
-  reg.counter("service_executions").set(metrics.executions);
-  reg.counter("service_drift_resolves").set(metrics.drift_resolves);
-  reg.counter("exec_oneport_violations").set(metrics.exec_oneport_violations);
-  reg.counter("exec_delivery_errors").set(metrics.exec_delivery_errors);
-  reg.counter("exec_faults_injected").set(metrics.exec_faults_injected);
-  reg.counter("exec_retransmits").set(metrics.exec_retransmits);
-  reg.gauge("exec_last_efficiency").set(metrics.last_efficiency);
-  reg.gauge("exec_last_achieved_bytes_per_sec")
-      .set(metrics.last_achieved_bytes_per_sec);
-  reg.gauge("exec_last_certified_bytes_per_sec")
-      .set(metrics.last_certified_bytes_per_sec);
-  std::size_t lookups = 0, hits = 0, misses = 0, evictions = 0;
-  std::size_t expirations = 0, invalidations = 0;
-  for (const CacheShardMetrics& s : metrics.shards) {
-    hits += s.exact_hits;
-    misses += s.misses;
-    evictions += s.evictions;
-    expirations += s.expirations;
-    invalidations += s.invalidations;
-  }
-  lookups = hits + misses;
-  reg.counter("cache_lookups").set(lookups);
-  reg.counter("cache_hits").set(hits);
-  reg.counter("cache_misses").set(misses);
-  reg.counter("cache_evictions").set(evictions);
-  reg.counter("cache_expirations").set(expirations);
-  reg.counter("cache_invalidations").set(invalidations);
-  return reg.snapshot();
-}
-
-obs::Snapshot snapshot_of(const lp::SolverStats& stats) {
-  obs::Registry reg;
-  reg.counter("solver_solves").set(stats.solves);
-  reg.counter("solver_float_pivots").set(stats.float_pivots);
-  reg.counter("solver_exact_pivots").set(stats.exact_pivots);
-  reg.counter("solver_warm_attempts").set(stats.warm_attempts);
-  reg.counter("solver_warm_solves").set(stats.warm_solves);
-  reg.counter("solver_exact_fallbacks").set(stats.exact_fallbacks);
-  reg.counter("solver_presolve_rows_removed").set(stats.presolve_rows_removed);
-  reg.counter("solver_presolve_cols_removed").set(stats.presolve_cols_removed);
-  reg.counter("solver_colgen_solves").set(stats.colgen_solves);
-  reg.counter("solver_colgen_rounds").set(stats.colgen_rounds);
-  reg.counter("solver_colgen_columns_generated")
-      .set(stats.colgen_columns_generated);
-  reg.counter("solver_ftran_ns").set(stats.ftran_ns);
-  reg.counter("solver_btran_ns").set(stats.btran_ns);
-  reg.counter("solver_pricing_ns").set(stats.pricing_ns);
-  reg.counter("solver_factor_ns").set(stats.factor_ns);
-  reg.counter("solver_certify_ns").set(stats.certify_ns);
-  reg.counter("solver_pricing_sweep_ns").set(stats.pricing_sweep_ns);
-  return reg.snapshot();
-}
-
-std::string format_metrics(const ServiceMetrics& metrics) {
-  // Render FROM the machine-readable snapshot: the table below and
-  // metrics_snapshot()'s Prometheus/JSON expositions read the same entries
-  // by the same names, so the formats cannot drift.
-  const obs::Snapshot snap = snapshot_of(metrics);
+std::string format_metrics(const obs::Snapshot& snapshot,
+                           const std::vector<CacheShardMetrics>& shards) {
   std::ostringstream os;
   os << io::banner("plan service");
 
-  io::Table shards({"shard", "size", "cap", "exact", "warm", "miss", "evict"});
-  for (std::size_t i = 0; i < metrics.shards.size(); ++i) {
-    const CacheShardMetrics& s = metrics.shards[i];
-    shards.add_row({std::to_string(i), std::to_string(s.size),
-                    std::to_string(s.capacity), std::to_string(s.exact_hits),
-                    std::to_string(s.warm_hits), std::to_string(s.misses),
-                    std::to_string(s.evictions)});
+  io::Table shard_table(
+      {"shard", "size", "cap", "exact", "warm", "miss", "evict"});
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const CacheShardMetrics& s = shards[i];
+    shard_table.add_row({std::to_string(i), std::to_string(s.size),
+                         std::to_string(s.capacity),
+                         std::to_string(s.exact_hits),
+                         std::to_string(s.warm_hits), std::to_string(s.misses),
+                         std::to_string(s.evictions)});
   }
-  os << shards.to_string() << "\n";
-
-  io::Table totals({"metric", "value"});
-  totals.add_row({"submitted", as_count(snap, "service_submitted")});
-  totals.add_row({"accepted", as_count(snap, "service_accepted")});
-  totals.add_row({"shed (overloaded)", as_count(snap, "service_shed")});
-  totals.add_row(
-      {"deadline misses", as_count(snap, "service_deadline_misses")});
-  totals.add_row(
-      {"degraded served", as_count(snap, "service_degraded_served")});
-  totals.add_row({"deduplicated", as_count(snap, "service_deduplicated")});
-  totals.add_row({"exact hits", as_count(snap, "service_exact_hits")});
-  totals.add_row({"warm hits", as_count(snap, "service_warm_hits")});
-  totals.add_row({"cold solves", as_count(snap, "service_cold_solves")});
-  totals.add_row({"failed", as_count(snap, "service_failed")});
-  totals.add_row({"hit rate", io::percent(snap.value("service_hit_rate"))});
-  totals.add_row({"queue depth", as_count(snap, "service_queue_depth")});
-  totals.add_row(
-      {"max queue depth", as_count(snap, "service_max_queue_depth")});
-  totals.add_row({"latency p50",
-                  io::fixed(snap.value("service_latency_p50_ms"), 3) + " ms"});
-  totals.add_row({"latency p90",
-                  io::fixed(snap.value("service_latency_p90_ms"), 3) + " ms"});
-  totals.add_row({"latency p99",
-                  io::fixed(snap.value("service_latency_p99_ms"), 3) + " ms"});
-  os << totals.to_string();
-
-  if (snap.value("service_executions") > 0) {
-    os << "\n";
-    io::Table dataplane({"metric", "value"});
-    dataplane.add_row({"executions", as_count(snap, "service_executions")});
-    dataplane.add_row(
-        {"drift re-solves", as_count(snap, "service_drift_resolves")});
-    dataplane.add_row(
-        {"one-port violations", as_count(snap, "exec_oneport_violations")});
-    dataplane.add_row(
-        {"delivery errors", as_count(snap, "exec_delivery_errors")});
-    dataplane.add_row(
-        {"faults injected", as_count(snap, "exec_faults_injected")});
-    dataplane.add_row({"retransmits", as_count(snap, "exec_retransmits")});
-    dataplane.add_row(
-        {"last efficiency", io::percent(snap.value("exec_last_efficiency"))});
-    dataplane.add_row(
-        {"last achieved",
-         io::fixed(snap.value("exec_last_achieved_bytes_per_sec") / 1e6, 2) +
-             " MB/s"});
-    dataplane.add_row(
-        {"last certified",
-         io::fixed(snap.value("exec_last_certified_bytes_per_sec") / 1e6, 2) +
-             " MB/s"});
-    os << dataplane.to_string();
+  os << shard_table.to_string() << "\n";
+  os << table_of(snapshot, kServiceRows);
+  if (snapshot.value("service_executions") > 0) {
+    os << "\n" << table_of(snapshot, kDataPlaneRows);
   }
   return os.str();
 }
 
-std::string format_solver_stats(const lp::SolverStats& stats) {
-  const obs::Snapshot snap = snapshot_of(stats);
-  std::ostringstream os;
-  os << io::banner("exact solver");
-  io::Table table({"metric", "value"});
-  table.add_row({"solves", as_count(snap, "solver_solves")});
-  table.add_row({"float pivots", as_count(snap, "solver_float_pivots")});
-  table.add_row({"exact pivots", as_count(snap, "solver_exact_pivots")});
-  table.add_row({"warm attempts", as_count(snap, "solver_warm_attempts")});
-  table.add_row({"warm solves", as_count(snap, "solver_warm_solves")});
-  table.add_row({"exact fallbacks", as_count(snap, "solver_exact_fallbacks")});
-  table.add_row({"presolve rows removed",
-                 as_count(snap, "solver_presolve_rows_removed")});
-  table.add_row({"presolve cols removed",
-                 as_count(snap, "solver_presolve_cols_removed")});
-  table.add_row({"colgen solves", as_count(snap, "solver_colgen_solves")});
-  table.add_row({"colgen rounds", as_count(snap, "solver_colgen_rounds")});
-  table.add_row({"colgen columns generated",
-                 as_count(snap, "solver_colgen_columns_generated")});
-  table.add_row({"ftran time", as_millis(snap, "solver_ftran_ns")});
-  table.add_row({"btran time", as_millis(snap, "solver_btran_ns")});
-  table.add_row({"pricing time", as_millis(snap, "solver_pricing_ns")});
-  table.add_row({"factorization time", as_millis(snap, "solver_factor_ns")});
-  table.add_row({"certify time", as_millis(snap, "solver_certify_ns")});
-  table.add_row(
-      {"pricing sweep time", as_millis(snap, "solver_pricing_sweep_ns")});
-  os << table.to_string();
-  return os.str();
+std::string format_solver_stats(const obs::Snapshot& snapshot) {
+  return io::banner("exact solver") + table_of(snapshot, kSolverRows);
 }
 
 }  // namespace ssco::service

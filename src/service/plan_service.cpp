@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
-#include <string_view>
 
 #include "exec/threaded_executor.h"
 #include "lp/parallel.h"
@@ -78,8 +77,7 @@ PlanService::PlanService(PlanServiceOptions options)
       last_certified_bytes_per_sec_(
           registry_.gauge("exec_last_certified_bytes_per_sec")),
       latency_hist_(registry_.histogram("service_latency_ms",
-                                        "submit-to-fulfillment latency")),
-      latency_(std::max<std::size_t>(1, options.latency_reservoir)) {
+                                        "submit-to-fulfillment latency")) {
   std::size_t workers = options_.num_workers;
   if (workers == 0) {
     workers = std::max(2u, std::thread::hardware_concurrency());
@@ -545,43 +543,8 @@ obs::Snapshot PlanService::metrics_snapshot() const {
   return registry_.snapshot();
 }
 
-ServiceMetrics PlanService::metrics() const {
-  // Filled from the SAME snapshot metrics_snapshot() exposes: one source
-  // of truth for the struct, the tables and the Prometheus/JSON views.
-  const obs::Snapshot snap = metrics_snapshot();
-  auto count = [&](std::string_view name) {
-    return static_cast<std::size_t>(snap.value(name));
-  };
-  ServiceMetrics m;
-  m.shards = cache_.shard_metrics();
-  m.submitted = count("service_submitted");
-  m.accepted = count("service_accepted");
-  m.shed = count("service_shed");
-  m.deadline_misses = count("service_deadline_misses");
-  m.degraded_served = count("service_degraded_served");
-  m.deduplicated = count("service_deduplicated");
-  m.exact_hits = count("service_exact_hits");
-  m.warm_hits = count("service_warm_hits");
-  m.cold_solves = count("service_cold_solves");
-  m.failed = count("service_failed");
-  m.queue_depth = count("service_queue_depth");
-  m.max_queue_depth = count("service_max_queue_depth");
-  m.latency_samples = count("service_latency_samples");
-  m.p50_ms = snap.value("service_latency_p50_ms");
-  m.p90_ms = snap.value("service_latency_p90_ms");
-  m.p99_ms = snap.value("service_latency_p99_ms");
-  m.executions = count("service_executions");
-  m.drift_resolves = count("service_drift_resolves");
-  m.exec_oneport_violations = count("exec_oneport_violations");
-  m.exec_delivery_errors = count("exec_delivery_errors");
-  m.exec_faults_injected = count("exec_faults_injected");
-  m.exec_retransmits = count("exec_retransmits");
-  m.last_efficiency = snap.value("exec_last_efficiency");
-  m.last_achieved_bytes_per_sec =
-      snap.value("exec_last_achieved_bytes_per_sec");
-  m.last_certified_bytes_per_sec =
-      snap.value("exec_last_certified_bytes_per_sec");
-  return m;
+std::vector<CacheShardMetrics> PlanService::shard_metrics() const {
+  return cache_.shard_metrics();
 }
 
 PlanService::ExecuteResult PlanService::execute(const PlanRequest& request,

@@ -7,7 +7,7 @@
 //
 //   submit(request)
 //     ├─ exact cache hit (same fingerprint + verified identical request)
-//     │    → ready future, O(1), no solve                     [exact hit]
+//     │    → ready future, no solve                           [exact hit]
 //     ├─ identical request already in flight
 //     │    → attach to it (single-flight dedup), one solve serves all
 //     └─ otherwise → enqueue on the batching request queue
@@ -81,8 +81,6 @@ struct PlanServiceOptions {
   /// Serve near hits by warm-starting from a same-structure cached basis;
   /// off = every miss solves cold (the bench's baseline mode).
   bool enable_warm_start = true;
-  /// Submit-to-fulfillment latency samples kept for the percentile report.
-  std::size_t latency_reservoir = 1 << 14;
 
   // ---- overload safety ----
   /// Hard queue-depth cap across both lanes; a submit that would exceed it
@@ -185,19 +183,21 @@ class PlanService {
   /// threshold — invalidates the executed plan and re-submits the corrected
   /// request (cold, unless another same-structure plan is cached). Blocks
   /// until the run (and any re-solve) finishes; executor counters land in
-  /// metrics().
+  /// metrics_snapshot().
   [[nodiscard]] ExecuteResult execute(const PlanRequest& request,
                                       const ExecuteOptions& options = {});
 
-  [[nodiscard]] ServiceMetrics metrics() const;
-
-  /// The unified registry view: every service counter, the cache-lookup
-  /// invariant counters, latency percentiles, data-plane gauges and the
-  /// shared thread pool's utilization, captured in ONE atomically
-  /// consistent snapshot (obs::Registry::Batch guarantees e.g.
+  /// The service's only metrics record: every service counter, the
+  /// cache-lookup invariant counters, latency percentiles, data-plane
+  /// gauges and the shared thread pool's utilization, captured in ONE
+  /// atomically consistent snapshot (obs::Registry::Batch guarantees e.g.
   /// cache_hits + cache_misses == cache_lookups in every snapshot).
-  /// Expose with .prometheus() or .json().
+  /// Expose with .prometheus() or .json(), or render with format_metrics.
   [[nodiscard]] obs::Snapshot metrics_snapshot() const;
+
+  /// Per-shard cache stats (size, hits, misses, evictions, ...), each read
+  /// under its shard lock; format_metrics renders them as the shard table.
+  [[nodiscard]] std::vector<CacheShardMetrics> shard_metrics() const;
 
  private:
   /// One client blocked on an in-flight solve. Each waiter keeps its OWN
@@ -292,10 +292,12 @@ class PlanService {
   // Queue stats (queue_mu_, alongside the queue itself).
   std::size_t max_queue_depth_ = 0;
 
-  // Exact-percentile reservoir; the histogram above serves the registry's
-  // bucketed view, the reservoir the tables' exact one.
+  // Exact-percentile reservoir of the most recent kLatencySamples
+  // requests; the histogram above serves the registry's bucketed view, the
+  // reservoir the service_latency_p* gauges.
+  static constexpr std::size_t kLatencySamples = 1 << 14;
   mutable std::mutex latency_mu_;
-  LatencyReservoir latency_;
+  LatencyReservoir latency_{kLatencySamples};
 
   std::vector<std::thread> workers_;
 };

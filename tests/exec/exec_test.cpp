@@ -2,7 +2,8 @@
 //
 // Correctness claims checked here:
 //   * scatter: every message of every commodity arrives at its destination
-//     exactly once (message-identity marking + payload pattern validation);
+//     exactly once (message-identity marking + payload pattern validation),
+//     including on whole-message (no-split) schedules;
 //   * reduce: merges only ever combine adjacent intervals (legality is
 //     structural in the compiled program, asserted directly) and the target
 //     absorbs full results at the certified rate;
@@ -14,6 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/steady_state.h"
 #include "exec/engine.h"
 #include "exec/exec_report.h"
@@ -21,6 +27,7 @@
 #include "exec/threaded_executor.h"
 #include "platform/paper_instances.h"
 #include "sim/event_exec.h"
+#include "sim/scatter_sim.h"
 #include "testing/util.h"
 
 namespace ssco {
@@ -180,6 +187,86 @@ TEST(EventExecTest, InjectedDriftShowsUpAsLostEfficiencyAndInferredCosts) {
     const double ratio =
         (change.cost / inst.platform.edge_cost(change.edge)).to_double();
     EXPECT_NEAR(ratio, 2.0, 0.05);
+  }
+}
+
+// ---- whole-message (integral) schedules on the event backend --------------
+//
+// No-split schedules are the ones whose every message keeps its identity, so
+// compile turns exactly-once verification on for them: the engine then checks
+// each message reaches its destination once, as a whole.
+
+struct NoSplitRun {
+  core::FlowPlan plan;
+  ExecProgram program;
+  ExecReport report;
+};
+
+NoSplitRun run_no_split(const platform::ScatterInstance& inst) {
+  core::PlanOptions no_split;
+  no_split.allow_split_messages = false;
+  NoSplitRun run;
+  run.plan = core::optimize_scatter(inst, no_split);
+  run.program = exec::compile_flow_program(inst.platform, run.plan.flow,
+                                           run.plan.schedule, quick_options());
+  run.report = sim::simulate_execution(run.program, quick_options());
+  return run;
+}
+
+TEST(IntegralSim, Fig2DeliversWholeMessagesAtFullRate) {
+  const auto inst = platform::fig2_toy();
+  const NoSplitRun run = run_no_split(inst);
+  ASSERT_TRUE(run.plan.schedule.has_integral_messages());
+  EXPECT_TRUE(run.program.verify);
+  expect_clean(run.report);
+  EXPECT_GE(run.report.efficiency, 0.95) << run.report.to_string(inst.platform);
+  EXPECT_LE(run.report.efficiency, 1.05) << run.report.to_string(inst.platform);
+}
+
+TEST(IntegralSim, MatchesFluidUpToRampAndRounding) {
+  // The fluid simulator plays the same no-split schedule; once its buffers
+  // are full it moves one period's planned traffic per period. The engine's
+  // whole-message steady state must deliver at that same rate.
+  const auto inst = platform::fig2_toy();
+  const NoSplitRun run = run_no_split(inst);
+  const auto fluid = sim::simulate_flow_schedule(
+      inst.platform, run.plan.flow, run.plan.schedule, 40);
+  ASSERT_TRUE(fluid.steady_state_reached);
+  const num::Rational bound = run.plan.flow.throughput * fluid.horizon;
+  EXPECT_GT((fluid.completed_operations / bound).to_double(), 0.85);
+  EXPECT_LE(fluid.completed_operations, bound);
+
+  const auto& by_period = fluid.delivered_by_period;
+  ASSERT_GE(by_period.size(), 2u);
+  const std::size_t last = by_period.size() - 1;
+  num::Rational last_period_ops = by_period[last][0] - by_period[last - 1][0];
+  for (std::size_t k = 1; k < by_period[last].size(); ++k) {
+    const num::Rational d = by_period[last][k] - by_period[last - 1][k];
+    if (d < last_period_ops) last_period_ops = d;
+  }
+  const double fluid_rate =
+      (last_period_ops /
+       (run.plan.flow.throughput * run.plan.schedule.period))
+          .to_double();
+
+  EXPECT_TRUE(run.program.verify);
+  expect_clean(run.report);
+  EXPECT_NEAR(run.report.efficiency, fluid_rate, 0.05)
+      << run.report.to_string(inst.platform);
+}
+
+TEST(IntegralSim, NoDuplicatesOnRandomPlatforms) {
+  for (const std::uint64_t seed : {19u, 38u, 57u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto inst = testing::random_scatter_instance(seed, 6, 2);
+    const NoSplitRun run = run_no_split(inst);
+    ASSERT_TRUE(run.plan.schedule.has_integral_messages());
+    EXPECT_TRUE(run.program.verify);
+    expect_clean(run.report);
+    EXPECT_GE(run.report.efficiency, 0.95)
+        << run.report.to_string(inst.platform);
+    EXPECT_LE(run.report.efficiency, 1.05)
+        << run.report.to_string(inst.platform);
   }
 }
 

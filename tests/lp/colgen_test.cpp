@@ -9,14 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "core/prefix_lp.h"
 #include "core/reduce_lp.h"
 #include "lp/exact_solver.h"
+#include "obs/metrics.h"
 #include "platform/delta.h"
 #include "platform/platform.h"
+#include "testing/metric.h"
 #include "testing/util.h"
 
 namespace ssco::lp {
@@ -150,7 +153,9 @@ TEST(ColGen, TableOracleMatchesDense) {
   ExactSolver solver;
   ColGenOptions cg;
   cg.batch = 1;  // force several rounds
+  const obs::Snapshot before = obs::Registry::global().snapshot();
   ExactSolution sol = solver.solve_colgen(master, oracle, cg);
+  const obs::Snapshot after = obs::Registry::global().snapshot();
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_TRUE(sol.certified);
   EXPECT_GE(sol.colgen_rounds, 1u);
@@ -160,9 +165,12 @@ TEST(ColGen, TableOracleMatchesDense) {
   ASSERT_EQ(dense.status, SolveStatus::kOptimal);
   EXPECT_EQ(sol.objective, dense.objective);
 
-  SolverStats stats = solver.stats();
-  EXPECT_EQ(stats.colgen_solves, 1u);
-  EXPECT_EQ(stats.colgen_rounds, sol.colgen_rounds);
+  auto delta = [&](std::string_view name) {
+    return testing::metric(after, name) - before.value(name);
+  };
+  EXPECT_EQ(delta("solver_colgen_solves"), 1.0);
+  EXPECT_EQ(delta("solver_colgen_rounds"),
+            static_cast<double>(sol.colgen_rounds));
 }
 
 TEST(ColGen, InfeasibleMasterFeasibleFullModel) {

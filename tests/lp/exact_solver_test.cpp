@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string_view>
 #include <thread>
 #include <vector>
+
+#include "obs/metrics.h"
+#include "testing/metric.h"
 
 namespace ssco::lp {
 namespace {
@@ -173,12 +177,13 @@ TEST(ExactSolver, DegenerateVertexStillCertifies) {
   EXPECT_EQ(sol.objective, Rational(2));
 }
 
-TEST(ExactSolver, StatsAggregateAcrossConcurrentSolves) {
+TEST(ExactSolver, RegistryCountsEveryConcurrentSolve) {
   // The documented contract: one solver, many concurrent solve() calls,
-  // each with its own SolveContext; the atomic stats must not lose counts.
+  // each with its own SolveContext; the registry must not lose a solve.
   const ExactSolver solver;
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kSolvesPerThread = 16;
+  const obs::Snapshot before = obs::Registry::global().snapshot();
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   std::atomic<std::size_t> optimal{0};
@@ -196,13 +201,33 @@ TEST(ExactSolver, StatsAggregateAcrossConcurrentSolves) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(optimal.load(), kThreads * kSolvesPerThread);
-  const SolverStats stats = solver.stats();
-  EXPECT_EQ(stats.solves, kThreads * kSolvesPerThread);
+  const obs::Snapshot after = obs::Registry::global().snapshot();
+  auto delta = [&](std::string_view name) {
+    return testing::metric(after, name) - before.value(name);
+  };
+  EXPECT_EQ(delta("solver_solves"), kThreads * kSolvesPerThread);
   // Every solve after a thread's first replays that thread's context basis.
-  EXPECT_EQ(stats.warm_attempts, kThreads * (kSolvesPerThread - 1));
-  EXPECT_EQ(stats.warm_solves, stats.warm_attempts);
-  EXPECT_GT(stats.float_pivots, 0u);
-  EXPECT_EQ(stats.exact_fallbacks, 0u);
+  EXPECT_EQ(delta("solver_warm_attempts"), kThreads * (kSolvesPerThread - 1));
+  EXPECT_EQ(delta("solver_warm_solves"), kThreads * (kSolvesPerThread - 1));
+  EXPECT_GT(delta("solver_float_pivots"), 0.0);
+  EXPECT_EQ(delta("solver_exact_fallbacks"), 0.0);
+}
+
+TEST(ExactSolver, OneSolveRegistersEverySolverCounter) {
+  (void)ExactSolver().solve(classic());
+  const obs::Snapshot snap = obs::Registry::global().snapshot();
+  // Every solver_* name format_solver_stats renders, present after any
+  // solve, including the ones this solve left at zero.
+  for (const char* name :
+       {"solver_solves", "solver_float_pivots", "solver_exact_pivots",
+        "solver_warm_attempts", "solver_warm_solves", "solver_exact_fallbacks",
+        "solver_presolve_rows_removed", "solver_presolve_cols_removed",
+        "solver_colgen_solves", "solver_colgen_rounds",
+        "solver_colgen_columns_generated", "solver_ftran_ns",
+        "solver_btran_ns", "solver_pricing_ns", "solver_factor_ns",
+        "solver_certify_ns", "solver_pricing_sweep_ns"}) {
+    EXPECT_NE(snap.find(name), nullptr) << name;
+  }
 }
 
 }  // namespace

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string_view>
 
 #include "lp/exact_solver.h"
+#include "obs/metrics.h"
+#include "testing/metric.h"
 
 namespace ssco::lp {
 namespace {
@@ -116,7 +119,8 @@ TEST(Scaling, DoubleEngineMatchesExactOnBadScaling) {
 
 TEST(SolverStats, PhaseTimeBreakdownAccumulates) {
   // The FTRAN/BTRAN/pricing counters must be wired through to the
-  // aggregate stats (relaxed atomics) after a solve of nontrivial size.
+  // process-wide solver_* registry counters after a solve of nontrivial
+  // size.
   Model m;
   std::vector<VarId> vars;
   for (int j = 0; j < 40; ++j) {
@@ -130,18 +134,23 @@ TEST(SolverStats, PhaseTimeBreakdownAccumulates) {
     }
     m.add_constraint(expr, Sense::kLessEqual, Rational(50));
   }
-  ExactSolver solver;
-  auto sol = solver.solve(m);
+  const obs::Snapshot before = obs::Registry::global().snapshot();
+  auto sol = ExactSolver().solve(m);
+  const obs::Snapshot after = obs::Registry::global().snapshot();
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_GT(sol.float_iterations, 0u);
-  const SolverStats stats = solver.stats();
-  EXPECT_EQ(stats.solves, 1u);
+  auto delta = [&](std::string_view name) {
+    return testing::metric(after, name) - before.value(name);
+  };
+  EXPECT_EQ(delta("solver_solves"), 1.0);
   // Pricing always runs; a pivot implies at least one FTRAN.
-  EXPECT_GT(stats.pricing_ns, 0u);
-  EXPECT_GT(stats.ftran_ns, 0u);
-  EXPECT_GT(stats.btran_ns, 0u);
-  EXPECT_EQ(stats.ftran_ns, sol.phase_times.ftran_ns);
-  EXPECT_EQ(stats.pricing_ns, sol.phase_times.pricing_ns);
+  EXPECT_GT(delta("solver_pricing_ns"), 0.0);
+  EXPECT_GT(delta("solver_ftran_ns"), 0.0);
+  EXPECT_GT(delta("solver_btran_ns"), 0.0);
+  EXPECT_EQ(delta("solver_ftran_ns"),
+            static_cast<double>(sol.phase_times.ftran_ns));
+  EXPECT_EQ(delta("solver_pricing_ns"),
+            static_cast<double>(sol.phase_times.pricing_ns));
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include "service/metrics.h"
 #include "service/plan_service.h"
 #include "sim/event_exec.h"
+#include "testing/metric.h"
 #include "testing/util.h"
 
 namespace ssco::service {
@@ -38,6 +39,7 @@ using exec::ExecOptions;
 using exec::ExecReport;
 using exec::FaultCode;
 using exec::FaultPlan;
+using testing::metric;
 using exec::sanitized_build;
 
 PlanRequest scatter_request(std::uint64_t seed, std::size_t n = 10,
@@ -280,11 +282,12 @@ TEST(OverloadTest, AdmissionShedsTypedAndCountsEveryDecision) {
   for (auto& f : accepted) EXPECT_NE(f.get().payload, nullptr);
   service.drain();
 
-  const ServiceMetrics m = service.metrics();
-  EXPECT_EQ(m.submitted, 12u);
-  EXPECT_EQ(m.shed, shed);
-  EXPECT_EQ(m.accepted + m.shed, m.submitted);
-  EXPECT_EQ(m.accepted, accepted.size());
+  const obs::Snapshot m = service.metrics_snapshot();
+  EXPECT_EQ(metric(m, "service_submitted"), 12u);
+  EXPECT_EQ(metric(m, "service_shed"), shed);
+  EXPECT_EQ(metric(m, "service_accepted") + metric(m, "service_shed"),
+            metric(m, "service_submitted"));
+  EXPECT_EQ(metric(m, "service_accepted"), accepted.size());
 }
 
 TEST(OverloadTest, EtaAdmissionGateShedsWhenBacklogExceedsBudget) {
@@ -311,8 +314,9 @@ TEST(OverloadTest, EtaAdmissionGateShedsWhenBacklogExceedsBudget) {
   }
   EXPECT_GE(shed, 1u);
   for (auto& f : accepted) (void)f.get();
-  const ServiceMetrics m = service.metrics();
-  EXPECT_EQ(m.accepted + m.shed, m.submitted);
+  const obs::Snapshot m = service.metrics_snapshot();
+  EXPECT_EQ(metric(m, "service_accepted") + metric(m, "service_shed"),
+            metric(m, "service_submitted"));
 }
 
 TEST(OverloadTest, DeadlineMissServesStaleDegradedAndResolvesInBackground) {
@@ -346,10 +350,11 @@ TEST(OverloadTest, DeadlineMissServesStaleDegradedAndResolvesInBackground) {
   for (auto& f : fillers) (void)f.get();
   service.drain();  // the background re-solve finishes before drain returns
 
-  const ServiceMetrics m = service.metrics();
-  EXPECT_GE(m.deadline_misses, 1u);
-  EXPECT_GE(m.degraded_served, 1u);
-  EXPECT_EQ(m.accepted + m.shed, m.submitted);
+  const obs::Snapshot m = service.metrics_snapshot();
+  EXPECT_GE(metric(m, "service_deadline_misses"), 1u);
+  EXPECT_GE(metric(m, "service_degraded_served"), 1u);
+  EXPECT_EQ(metric(m, "service_accepted") + metric(m, "service_shed"),
+            metric(m, "service_submitted"));
   // The deadline-missed job kept solving with no waiters: a repeat of the
   // variant is now answered inline from the refreshed cache.
   PlanRequest again = scaled_request(base, 21, 20);
@@ -378,8 +383,8 @@ TEST(OverloadTest, DeadlineMissWithoutStaleFailsTyped) {
     EXPECT_EQ(e.code(), ServiceErrorCode::kDeadlineExceeded);
   }
   for (auto& f : fillers) (void)f.get();
-  const ServiceMetrics m = service.metrics();
-  EXPECT_GE(m.deadline_misses, 1u);
+  EXPECT_GE(metric(service.metrics_snapshot(), "service_deadline_misses"),
+            1u);
 }
 
 TEST(OverloadTest, CacheTtlExpiresExactHitsAndCountsIt) {
@@ -397,11 +402,12 @@ TEST(OverloadTest, CacheTtlExpiresExactHitsAndCountsIt) {
   service.drain();
   EXPECT_NE(second.source, PlanResult::Source::kExactHit)
       << "a TTL-expired entry must not serve exact hits";
-  const ServiceMetrics m = service.metrics();
   std::size_t expirations = 0;
-  for (const CacheShardMetrics& s : m.shards) expirations += s.expirations;
+  for (const CacheShardMetrics& s : service.shard_metrics()) {
+    expirations += s.expirations;
+  }
   EXPECT_GE(expirations, 1u);
-  EXPECT_EQ(m.exact_hits, 0u);
+  EXPECT_EQ(metric(service.metrics_snapshot(), "service_exact_hits"), 0u);
 }
 
 // ---- satellite: submit vs drain vs shutdown (TSan-covered) -----------------
@@ -452,9 +458,10 @@ TEST(OverloadTest, SubmitDrainShutdownStressLeavesNoFutureBehind) {
   EXPECT_EQ(fulfilled.load() + typed_rejects.load(),
             kSubmitters * kPerThread)
       << "every submit ended in a fulfilled future or a typed error";
-  const ServiceMetrics m = service->metrics();
-  EXPECT_EQ(m.accepted + m.shed, m.submitted);
-  EXPECT_EQ(m.queue_depth, 0u);
+  const obs::Snapshot m = service->metrics_snapshot();
+  EXPECT_EQ(metric(m, "service_accepted") + metric(m, "service_shed"),
+            metric(m, "service_submitted"));
+  EXPECT_EQ(metric(m, "service_queue_depth"), 0u);
 }
 
 // ---- the chaos soak: plan -> execute under faults -> classify --------------
@@ -504,11 +511,11 @@ TEST(ChaosSoakTest, SeededFaultsClassifyEveryRunOnBothBackends) {
   EXPECT_GT(clean, 0u);
   EXPECT_GT(degraded, 0u) << "the deadline scenarios must degrade";
 
-  const ServiceMetrics m = service.metrics();
-  EXPECT_GT(m.exec_faults_injected, 0u);
-  EXPECT_EQ(m.exec_oneport_violations, 0u);
-  EXPECT_EQ(m.exec_delivery_errors, 0u);
-  EXPECT_GE(m.degraded_served, degraded);
+  const obs::Snapshot m = service.metrics_snapshot();
+  EXPECT_GT(metric(m, "exec_faults_injected"), 0u);
+  EXPECT_EQ(metric(m, "exec_oneport_violations"), 0u);
+  EXPECT_EQ(metric(m, "exec_delivery_errors"), 0u);
+  EXPECT_GE(metric(m, "service_degraded_served"), degraded);
 }
 
 TEST(ChaosSoakTest, WarmLaneStaysResponsiveUnderColdFlood) {

@@ -16,10 +16,13 @@
 #include "platform/paper_instances.h"
 #include "service/metrics.h"
 #include "service/plan_service.h"
+#include "testing/metric.h"
 #include "testing/util.h"
 
 namespace ssco::service {
 namespace {
+
+using testing::metric;
 
 PlanRequest scatter_request(std::uint64_t seed, std::size_t n = 10,
                             std::size_t targets = 4) {
@@ -78,7 +81,7 @@ TEST(DataPlaneTest, DeduplicatedFollowerReportsItsOwnLatency) {
     for (auto& f : pending) (void)f.get();
     service.drain();
 
-    if (service.metrics().deduplicated != 1) {
+    if (metric(service.metrics_snapshot(), "service_deduplicated") != 1) {
       continue;  // queue drained before the follower arrived — more load
     }
     EXPECT_LT(follower_result.latency_ms, leader_result.latency_ms);
@@ -217,11 +220,11 @@ TEST(DataPlaneTest, ExecuteMeasuresAchievedAgainstCertifiedBound) {
   EXPECT_TRUE(run.drift.empty());
   EXPECT_FALSE(run.resolved);
 
-  const ServiceMetrics metrics = service.metrics();
-  EXPECT_EQ(metrics.executions, 1u);
-  EXPECT_EQ(metrics.drift_resolves, 0u);
-  EXPECT_GT(metrics.last_efficiency, 0.95);
-  const std::string report = format_metrics(metrics);
+  const obs::Snapshot snap = service.metrics_snapshot();
+  EXPECT_EQ(metric(snap, "service_executions"), 1u);
+  EXPECT_EQ(metric(snap, "service_drift_resolves"), 0u);
+  EXPECT_GT(metric(snap, "exec_last_efficiency"), 0.95);
+  const std::string report = format_metrics(snap, service.shard_metrics());
   EXPECT_NE(report.find("drift re-solves"), std::string::npos);
   EXPECT_NE(report.find("last efficiency"), std::string::npos);
 }
@@ -259,12 +262,12 @@ TEST(DataPlaneTest, DriftTriggersWarmResolveAndRecoversEfficiency) {
   EXPECT_TRUE(recovered.drift.empty());
   EXPECT_FALSE(recovered.resolved);
 
-  const ServiceMetrics metrics = service.metrics();
-  EXPECT_EQ(metrics.executions, 2u);
-  EXPECT_EQ(metrics.drift_resolves, 1u);
-  EXPECT_EQ(metrics.exec_oneport_violations, 0u);
-  EXPECT_EQ(metrics.exec_delivery_errors, 0u);
-  EXPECT_GT(metrics.last_efficiency, 0.9);
+  const obs::Snapshot snap = service.metrics_snapshot();
+  EXPECT_EQ(metric(snap, "service_executions"), 2u);
+  EXPECT_EQ(metric(snap, "service_drift_resolves"), 1u);
+  EXPECT_EQ(metric(snap, "exec_oneport_violations"), 0u);
+  EXPECT_EQ(metric(snap, "exec_delivery_errors"), 0u);
+  EXPECT_GT(metric(snap, "exec_last_efficiency"), 0.9);
 }
 
 TEST(DataPlaneTest, ExecuteServesReduceThroughTheSameLoop) {
@@ -278,7 +281,7 @@ TEST(DataPlaneTest, ExecuteServesReduceThroughTheSameLoop) {
   EXPECT_EQ(run.report.oneport_violations, 0u);
   EXPECT_GT(run.report.efficiency, 0.9);
   EXPECT_LT(run.report.efficiency, 1.1);
-  EXPECT_EQ(service.metrics().executions, 1u);
+  EXPECT_EQ(metric(service.metrics_snapshot(), "service_executions"), 1u);
 }
 
 }  // namespace

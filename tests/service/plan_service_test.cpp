@@ -17,12 +17,14 @@
 #include "core/steady_state.h"
 #include "platform/delta.h"
 #include "service/metrics.h"
+#include "testing/metric.h"
 #include "testing/util.h"
 
 namespace ssco::service {
 namespace {
 
 using num::Rational;
+using testing::metric;
 
 PlanRequest scatter_request(std::uint64_t seed, std::size_t n = 10,
                             std::size_t targets = 4) {
@@ -54,10 +56,10 @@ TEST(PlanServiceTest, ColdSolveThenExactHit) {
   // An exact hit hands out the SAME immutable plan, not a copy.
   EXPECT_EQ(second.payload, first.payload);
 
-  const ServiceMetrics metrics = service.metrics();
-  EXPECT_EQ(metrics.cold_solves, 1u);
-  EXPECT_EQ(metrics.exact_hits, 1u);
-  EXPECT_EQ(metrics.submitted, 2u);
+  const obs::Snapshot snap = service.metrics_snapshot();
+  EXPECT_EQ(metric(snap, "service_cold_solves"), 1u);
+  EXPECT_EQ(metric(snap, "service_exact_hits"), 1u);
+  EXPECT_EQ(metric(snap, "service_submitted"), 2u);
 }
 
 TEST(PlanServiceTest, WarmHitOnDriftIsCertificateIdenticalToCold) {
@@ -88,7 +90,7 @@ TEST(PlanServiceTest, WarmHitOnDriftIsCertificateIdenticalToCold) {
   EXPECT_EQ(warm.throughput(), cold.flow.throughput);
   ASSERT_EQ(warm.payload->flow->flow.commodities.size(),
             cold.flow.commodities.size());
-  EXPECT_EQ(service.metrics().warm_hits, 1u);
+  EXPECT_EQ(metric(service.metrics_snapshot(), "service_warm_hits"), 1u);
 }
 
 TEST(PlanServiceTest, SingleFlightManyThreadsOneColdSolve) {
@@ -119,15 +121,17 @@ TEST(PlanServiceTest, SingleFlightManyThreadsOneColdSolve) {
   for (const Rational& tp : throughputs) {
     EXPECT_EQ(tp, throughputs.front());
   }
-  const ServiceMetrics metrics = service.metrics();
-  EXPECT_EQ(metrics.cold_solves, 1u) << "single-flight must dedup";
-  EXPECT_EQ(metrics.warm_hits, 0u);
-  EXPECT_EQ(metrics.submitted, kThreads * kPerThread);
+  const obs::Snapshot snap = service.metrics_snapshot();
+  EXPECT_EQ(metric(snap, "service_cold_solves"), 1u)
+      << "single-flight must dedup";
+  EXPECT_EQ(metric(snap, "service_warm_hits"), 0u);
+  EXPECT_EQ(metric(snap, "service_submitted"), kThreads * kPerThread);
   // Every other request was deduplicated onto the in-flight solve or
   // answered from the cache.
-  EXPECT_EQ(metrics.exact_hits + metrics.deduplicated,
+  EXPECT_EQ(metric(snap, "service_exact_hits") +
+                metric(snap, "service_deduplicated"),
             kThreads * kPerThread - 1);
-  EXPECT_EQ(metrics.failed, 0u);
+  EXPECT_EQ(metric(snap, "service_failed"), 0u);
 }
 
 TEST(PlanServiceTest, ServesAllThreeOperations) {
@@ -164,7 +168,7 @@ TEST(PlanServiceTest, ServesAllThreeOperations) {
                 std::get<platform::ReduceInstance>(reduce.instance))
                 .solution.throughput);
   // Same platform, different operations: distinct cache keys.
-  EXPECT_EQ(service.metrics().cold_solves, 2u);
+  EXPECT_EQ(metric(service.metrics_snapshot(), "service_cold_solves"), 2u);
 }
 
 TEST(PlanServiceTest, SolveFailurePropagatesToEveryWaiter) {
@@ -189,8 +193,9 @@ TEST(PlanServiceTest, SolveFailurePropagatesToEveryWaiter) {
   EXPECT_THROW((void)f1.get(), std::invalid_argument);
   EXPECT_THROW((void)f2.get(), std::invalid_argument);
   service.drain();
-  EXPECT_GE(service.metrics().failed, 1u);
-  EXPECT_EQ(service.metrics().cold_solves, 0u);
+  const obs::Snapshot snap = service.metrics_snapshot();
+  EXPECT_GE(metric(snap, "service_failed"), 1u);
+  EXPECT_EQ(metric(snap, "service_cold_solves"), 0u);
 }
 
 TEST(PlanServiceTest, OutOfRangeRoleThrowsBeforeAnyCounterMoves) {
@@ -249,9 +254,9 @@ TEST(PlanServiceTest, OutOfRangeRoleThrowsBeforeAnyCounterMoves) {
         << to_string(bad.operation());
   }
   const obs::Snapshot after = service.metrics_snapshot();
-  EXPECT_EQ(after.value("service_submitted"),
-            before.value("service_submitted"));
-  EXPECT_EQ(after.value("cache_lookups"), before.value("cache_lookups"));
+  EXPECT_EQ(metric(after, "service_submitted"),
+            metric(before, "service_submitted"));
+  EXPECT_EQ(metric(after, "cache_lookups"), metric(before, "cache_lookups"));
 }
 
 TEST(PlanServiceTest, MetricsBalanceAfterDrain) {
@@ -268,21 +273,26 @@ TEST(PlanServiceTest, MetricsBalanceAfterDrain) {
   }
   service.drain();
 
-  const ServiceMetrics metrics = service.metrics();
-  EXPECT_EQ(metrics.submitted, 8u);
-  EXPECT_EQ(metrics.exact_hits + metrics.warm_hits + metrics.cold_solves +
-                metrics.deduplicated + metrics.failed,
+  const obs::Snapshot snap = service.metrics_snapshot();
+  EXPECT_EQ(metric(snap, "service_submitted"), 8u);
+  EXPECT_EQ(metric(snap, "service_exact_hits") +
+                metric(snap, "service_warm_hits") +
+                metric(snap, "service_cold_solves") +
+                metric(snap, "service_deduplicated") +
+                metric(snap, "service_failed"),
             8u);
-  EXPECT_EQ(metrics.cold_solves, 4u);
-  EXPECT_EQ(metrics.queue_depth, 0u);
-  EXPECT_GE(metrics.latency_samples, 8u);
-  EXPECT_LE(metrics.p50_ms, metrics.p99_ms);
-  EXPECT_EQ(metrics.shards.size(), 4u);
+  EXPECT_EQ(metric(snap, "service_cold_solves"), 4u);
+  EXPECT_EQ(metric(snap, "service_queue_depth"), 0u);
+  EXPECT_GE(metric(snap, "service_latency_samples"), 8u);
+  EXPECT_LE(metric(snap, "service_latency_p50_ms"),
+            metric(snap, "service_latency_p99_ms"));
+  const std::vector<CacheShardMetrics> shards = service.shard_metrics();
+  EXPECT_EQ(shards.size(), 4u);
   std::size_t cached = 0;
-  for (const CacheShardMetrics& s : metrics.shards) cached += s.size;
+  for (const CacheShardMetrics& s : shards) cached += s.size;
   EXPECT_EQ(cached, 4u);
   // The renderer must mention every headline counter.
-  const std::string report = format_metrics(metrics);
+  const std::string report = format_metrics(snap, shards);
   EXPECT_NE(report.find("hit rate"), std::string::npos);
   EXPECT_NE(report.find("cold solves"), std::string::npos);
 }
@@ -329,10 +339,10 @@ TEST(PlanServiceTest, IntraSolveParallelismUnderConcurrentLoad) {
           << "seed " << seed + 1;
     }
   }
-  const ServiceMetrics metrics = service.metrics();
-  EXPECT_EQ(metrics.submitted, kClients * kSeeds);
-  EXPECT_EQ(metrics.cold_solves, kSeeds);
-  EXPECT_EQ(metrics.failed, 0u);
+  const obs::Snapshot snap = service.metrics_snapshot();
+  EXPECT_EQ(metric(snap, "service_submitted"), kClients * kSeeds);
+  EXPECT_EQ(metric(snap, "service_cold_solves"), kSeeds);
+  EXPECT_EQ(metric(snap, "service_failed"), 0u);
 }
 
 }  // namespace

@@ -14,11 +14,6 @@
 
 namespace ssco::core {
 
-struct GatherLpOptions {
-  lp::ExactSolverOptions solver;
-  bool prune_cycles = true;
-};
-
 /// Commodity i of the result carries sources[i]'s message type.
 /// Requires the sink to be distinct from every source and reachable.
 /// `previous` (optional) warm-starts the solve from that solution's optimal
@@ -26,7 +21,7 @@ struct GatherLpOptions {
 [[nodiscard]] MultiFlow solve_gather(const platform::Platform& platform,
                                      const std::vector<NodeId>& sources,
                                      NodeId sink, const Rational& message_size,
-                                     const GatherLpOptions& options = {},
+                                     const FlowLpOptions& options = {},
                                      const MultiFlow* previous = nullptr);
 
 }  // namespace ssco::core

@@ -765,14 +765,13 @@ ReduceSolution solve_interval_lp(
   const bool use_colgen =
       options.colgen == ColGenMode::kAlways ||
       (options.colgen == ColGenMode::kAuto &&
-       oracle.total_columns() >= options.colgen_min_columns);
+       oracle.total_columns() >= kColGenMinColumns);
   lp::ExactSolution sol;
   if (use_colgen) {
     IntervalSeeds seeds = heuristic_seeds();
     if (previous) add_warm_seeds(oracle, instance, *previous, seeds);
     lp::Model master = oracle.build_master(std::move(seeds));
-    sol = solver.solve_colgen(master, oracle, options.colgen_options,
-                              &context);
+    sol = solver.solve_colgen(master, oracle, lp::ColGenOptions{}, &context);
   } else {
     const lp::Model model = oracle.build_full_model();
     sol = solver.solve(model, &context);
@@ -797,7 +796,7 @@ ReduceSolution solve_interval_lp(
   out.lp_rows_total = sol.colgen_rows_total;
   out.lp_stab_rounds = sol.colgen_stab_rounds;
   out.lp_phase_times = sol.phase_times;
-  if (options.prune_cycles) out.prune_cycles(instance);
+  out.prune_cycles(instance);
   return out;
 }
 

@@ -27,10 +27,10 @@
 //    and cons grids in one structured pass.
 //
 // Dense and colgen models therefore agree on every name and coefficient by
-// construction, and warm-start snapshots map across them. Gossip and
-// scatter keep their own dense builders: their column count is linear in
-// sources x edges, so a restricted master would only add rounds (measured
-// in DESIGN.md "Column generation").
+// construction, and warm-start snapshots map across them. Scatter, gossip
+// and gather share one dense flow builder instead (core/flow_lp.h): their
+// column count is linear in sources x edges, so a restricted master would
+// only add rounds (measured in DESIGN.md "Column generation").
 
 #include <array>
 #include <cstddef>
@@ -60,7 +60,6 @@ enum class ColGenMode {
 /// through the PrefixLpOptions alias).
 struct ReduceLpOptions {
   lp::ExactSolverOptions solver;
-  bool prune_cycles = true;
   /// Nodes allowed to execute merge tasks; empty = instance participants.
   /// Routers forward but do not compute.
   std::vector<NodeId> compute_nodes;
@@ -70,12 +69,14 @@ struct ReduceLpOptions {
   /// prefix: a chain-of-prefixes plan) plus the support of `previous` on a
   /// warm re-solve, and grows by pricing until one exact sweep certifies
   /// the COMPLETE paper LP. kAuto switches it on once the full model has
-  /// `colgen_min_columns` columns; the certified objective is bit-identical
+  /// kColGenMinColumns columns; the certified objective is bit-identical
   /// either way.
   ColGenMode colgen = ColGenMode::kAuto;
-  std::size_t colgen_min_columns = 8192;
-  lp::ColGenOptions colgen_options;
 };
+
+/// Full-model column count from which ColGenMode::kAuto uses column
+/// generation.
+inline constexpr std::size_t kColGenMinColumns = 8192;
 
 /// Seed hints for a restricted master: (interval, edge) send pairs and
 /// (node, task) merge placements.
@@ -235,7 +236,7 @@ class IntervalFlowOracle final : public lp::PricingOracle {
 /// dense solves never pay the heuristic — plus, on a warm re-solve, the
 /// support and basis names of `previous`. Throws std::runtime_error when
 /// the LP does not reach optimality; otherwise fills the solution tables
-/// and the lp_* telemetry, and prunes cycles when the options ask.
+/// and the lp_* telemetry, and prunes cycles.
 [[nodiscard]] ReduceSolution solve_interval_lp(
     const platform::ReduceInstance& instance, IntervalFlowOracle::Family family,
     const ReduceLpOptions& options,

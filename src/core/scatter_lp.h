@@ -1,31 +1,19 @@
 #pragma once
 // Series-of-Scatters steady-state LP — SSSP(G), paper Sec. 3.1.
 //
-// One source streams distinct same-size messages to every target; we maximize
-// the common delivery rate TP under the bidirectional one-port model. The
-// builder produces the exact LP of the paper with two mechanical
-// simplifications that change neither feasibility nor optimum:
-//  * the occupation variables s(Pi->Pj) are substituted by their defining
-//    equality (paper eq. 4), so one-port rows are written directly over the
-//    send(...) variables;
-//  * flow variables that provably carry no useful traffic (type m_k leaving
-//    its own target, or any type entering the source) are not created.
-//
-// The 0 <= s <= 1 box constraints (paper eq. 1) are implied by the one-port
-// rows (eq. 2-3) given non-negativity, so they need no extra rows.
+// One source streams distinct same-size messages to every target; the LP
+// maximizes the common delivery rate TP under the bidirectional one-port
+// model. It is the flow-family LP with one commodity per target; the
+// formulation is documented, and defined once, in core/flow_lp.h.
 
+#include "core/flow_lp.h"
 #include "core/flow_solution.h"
 #include "lp/exact_solver.h"
 #include "platform/paper_instances.h"
 
 namespace ssco::core {
 
-struct ScatterLpOptions {
-  lp::ExactSolverOptions solver;
-  /// Cancel useless flow cycles in the returned solution (recommended; the
-  /// schedule builder requires cycle-free flows).
-  bool prune_cycles = true;
-};
+using ScatterLpOptions = FlowLpOptions;
 
 /// Builds SSSP(G) for the instance. Exposed separately from solve() so tests
 /// and the LP-format writer can inspect the model.
@@ -42,7 +30,7 @@ struct ScatterLpOptions {
 /// changed under a live plan. Exactness is unaffected: the result passes
 /// the same certificates as a cold solve.
 [[nodiscard]] MultiFlow solve_scatter(const platform::ScatterInstance& instance,
-                                      const ScatterLpOptions& options = {},
+                                      const FlowLpOptions& options = {},
                                       const MultiFlow* previous = nullptr);
 
 }  // namespace ssco::core

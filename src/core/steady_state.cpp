@@ -5,7 +5,7 @@ namespace ssco::core {
 FlowPlan optimize_scatter(const platform::ScatterInstance& instance,
                           const PlanOptions& options,
                           const FlowPlan* previous) {
-  ScatterLpOptions lp_options;
+  FlowLpOptions lp_options;
   lp_options.solver = options.solver;
   FlowPlan plan;
   plan.flow =
@@ -20,7 +20,7 @@ FlowPlan optimize_scatter(const platform::ScatterInstance& instance,
 FlowPlan optimize_gossip(const platform::GossipInstance& instance,
                          const PlanOptions& options,
                          const FlowPlan* previous) {
-  GossipLpOptions lp_options;
+  FlowLpOptions lp_options;
   lp_options.solver = options.solver;
   FlowPlan plan;
   plan.flow =

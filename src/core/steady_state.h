@@ -12,6 +12,7 @@
 // reduction-tree family of Sec. 4.3/4.4).
 
 #include "core/edge_coloring.h"
+#include "core/flow_lp.h"
 #include "core/flow_solution.h"
 #include "core/gather_lp.h"
 #include "core/gossip_lp.h"

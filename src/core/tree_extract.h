@@ -11,8 +11,8 @@
 // 2 n^4 trees (Theorem 1's bound).
 //
 // Precondition: A validates (exact conservation) and is cycle-free per
-// interval — solve_reduce() with the default prune_cycles=true guarantees
-// both. Conservation is what makes FIND_TREE's greedy choices always succeed
+// interval — solve_reduce() guarantees both, since every solve ends with
+// ReduceSolution::prune_cycles. Conservation is what makes FIND_TREE's greedy choices always succeed
 // (see the invariant H in the paper's proof).
 
 #include <vector>

@@ -125,7 +125,7 @@ class Engine {
     channels_.reserve(p_.transfers.size());
     reserved_.assign(p_.transfers.size(), 0);
     for (std::size_t i = 0; i < p_.transfers.size(); ++i) {
-      channels_.emplace_back(opt_.channel_chunks);
+      channels_.emplace_back(kChannelChunks);
     }
 
     verify_ = p_.verify;
@@ -140,7 +140,7 @@ class Engine {
     // Token buckets: rate = the ACTUAL (drift-scaled) link rate; burst must
     // cover the largest chunk on the edge or that chunk could never start.
     std::vector<double> max_chunk(p_.platform->num_edges(),
-                                  static_cast<double>(opt_.chunk_bytes));
+                                  static_cast<double>(kChunkBytes));
     for (const TransferTemplate& t : p_.transfers) {
       forwards_[t.src][t.type] = 1;
       for (const ChunkSpec& c : t.chunks) {
@@ -766,7 +766,7 @@ class Engine {
     // Sanitizer builds run 5-20x slower; scale the watchdog so instrumented
     // CI can't fire it on a healthy run.
     const double watchdog =
-        opt_.watchdog_seconds * (sanitized_build() ? 5.0 : 1.0);
+        kWatchdogSeconds * (sanitized_build() ? 5.0 : 1.0);
     std::unique_lock lock(mu_);
     while (!done_) {
       const double now = now_fn();

@@ -57,7 +57,7 @@ enum class FaultCode : std::uint8_t {
   kOneportStatic,     ///< the compiled schedule failed the static one-port check
   kNoSchedule,        ///< the schedule delivers no operations
   kDeadlock,          ///< event backend: no admissible step and no wake time
-  kWatchdogStall,     ///< threaded backend: no progress for watchdog_seconds
+  kWatchdogStall,     ///< threaded backend: no progress for kWatchdogSeconds
   kDeadlineExceeded,  ///< ExecOptions::deadline_seconds fired mid-run
   kRetransmitLimit,   ///< a chunk was lost more than max_retransmits times
   kIdentityUnderflow, ///< message identity bookkeeping underflow (engine bug)

@@ -34,35 +34,38 @@ namespace ssco::exec {
 
 using num::Rational;
 
+/// Wire bytes of one model message of size `message_size` — an upper bound:
+/// when a schedule's period carries many messages (large LCM periods), the
+/// compiler shrinks the per-message byte size so one period stays within
+/// kBytesPerPeriodBudget. The program's actual choice is
+/// ExecProgram::bytes_per_message.
+inline constexpr std::size_t kBytesPerMessage = 64 * 1024;
+/// Target total wire bytes per period. Keeps the real memcpy traffic of
+/// byte-heavy schedules executable in real time.
+inline constexpr std::size_t kBytesPerPeriodBudget = 4 * 1024 * 1024;
+/// Upper bound on chunks per transfer (scheduler round-trips per period).
+inline constexpr std::size_t kMaxChunksPerTransfer = 64;
+/// Auto-pacing floor: a period is stretched beyond
+/// ExecOptions::target_period_seconds until its wire traffic fits under this
+/// many bytes/sec.
+inline constexpr double kMaxBytesPerSec = 400e6;
+/// Exactly-once verification is disabled above this many messages per period
+/// (the identity bookkeeping would dominate the run).
+inline constexpr std::size_t kMaxVerifyMsgsPerPeriod = 50000;
+/// Pacing granularity: transfers are split into chunks of at most this many
+/// bytes. Smaller chunks pace links more smoothly but pay more scheduler
+/// round-trips per byte (DESIGN.md: granularity tradeoff).
+inline constexpr std::size_t kChunkBytes = 16 * 1024;
+/// Bounded channel capacity per edge, in chunks (backpressure depth).
+inline constexpr std::size_t kChannelChunks = 8;
+/// Threaded executor: abort with an error if no progress for this long.
+inline constexpr double kWatchdogSeconds = 20.0;
+
 struct ExecOptions {
   /// Worker threads for the threaded executor; 0 = min(hardware, 8).
   std::size_t workers = 0;
-  /// Wire bytes of one model message of size `message_size` — an upper
-  /// bound: when a schedule's period carries many messages (large LCM
-  /// periods), the compiler shrinks the per-message byte size so one period
-  /// stays within bytes_per_period_budget. The program's actual choice is
-  /// ExecProgram::bytes_per_message.
-  std::size_t bytes_per_message = 64 * 1024;
-  /// Target total wire bytes per period (0 = no clamp). Keeps the real
-  /// memcpy traffic of byte-heavy schedules executable in real time.
-  std::size_t bytes_per_period_budget = 4 * 1024 * 1024;
-  /// Upper bound on chunks per transfer (scheduler round-trips per period).
-  std::size_t max_chunks_per_transfer = 64;
-  /// Auto-pacing floor: a period is stretched beyond target_period_seconds
-  /// until its wire traffic fits under this many bytes/sec (0 = off).
-  double max_bytes_per_sec = 400e6;
-  /// Exactly-once verification is disabled above this many messages per
-  /// period (the identity bookkeeping would dominate the run).
-  std::size_t max_verify_msgs_per_period = 50000;
-  /// Pacing granularity: transfers are split into chunks of at most this
-  /// many bytes. Smaller chunks pace links more smoothly but pay more
-  /// scheduler round-trips per byte (DESIGN.md: granularity tradeoff).
-  std::size_t chunk_bytes = 16 * 1024;
-  /// Bounded channel capacity per edge, in chunks (backpressure depth).
-  std::size_t channel_chunks = 8;
-  /// Wall seconds per model time unit; 0 = auto-pace so one period takes
-  /// target_period_seconds.
-  double seconds_per_unit = 0.0;
+  /// Wall seconds one period takes: the compiler auto-paces the model time
+  /// unit to this (stretched under kMaxBytesPerSec).
   double target_period_seconds = 5e-3;
   /// Pipeline-fill periods excluded from the measured window.
   std::size_t warmup_periods = 8;
@@ -72,12 +75,6 @@ struct ExecOptions {
   /// may catch up after an admission stall. Bounds the transient rate
   /// overshoot; the long-run rate is still the modeled one.
   double burst_chunks = 2.0;
-  /// Tag every message with its identity and verify exactly-once delivery
-  /// at the destinations (integral-message flow schedules only; silently
-  /// disabled otherwise — the fluid quantities make identity meaningless).
-  bool verify_delivery = true;
-  /// Threaded executor: abort with an error if no progress for this long.
-  double watchdog_seconds = 20.0;
   /// Drift injection for the observe -> re-solve loop: actual link rate =
   /// modeled rate * link_rate_scale[edge]. Empty = all 1.0. The plan keeps
   /// believing the modeled rate; the report shows what really happened.
@@ -148,8 +145,8 @@ struct ExecProgram {
   Rational throughput;      // LP-certified TP, ops per model unit
   Rational ops_per_period;  // integral ops completed per period
   double seconds_per_unit = 0.0;
-  /// Wire bytes of one model message (options.bytes_per_message, possibly
-  /// shrunk to honor the per-period byte budget).
+  /// Wire bytes of one model message (kBytesPerMessage, possibly shrunk to
+  /// honor the per-period byte budget).
   std::size_t bytes_per_message = 0;
   std::size_t op_payload_bytes = 0;  // application bytes per completed op
   /// Modeled link rate in bytes per wall second, per edge.
@@ -159,6 +156,10 @@ struct ExecProgram {
   /// Per-period whole-message counts per type delivered at the sink
   /// (verify mode); empty when verification is off.
   std::vector<std::uint64_t> msgs_per_period;
+  /// Tag every message with its identity and verify exactly-once delivery
+  /// at the destinations. On for integral-message flow schedules of at most
+  /// kMaxVerifyMsgsPerPeriod messages per period; off otherwise — the fluid
+  /// quantities make identity meaningless.
   bool verify = false;
 
   /// Empty when the schedule passed the static one-port check.

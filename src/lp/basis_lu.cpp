@@ -44,7 +44,6 @@ std::optional<BasisLu> BasisLu::factor(const CscMatrix& A,
   if (columns.size() != m) return std::nullopt;
 
   BasisLu lu;
-  lu.options_ = options;
   FactorScratch& fs = factor_scratch();
   // Remaining-pattern row degrees for threshold-Markowitz pivoting; empty
   // (and the pivot rule untouched) unless fill_preorder is on.
@@ -311,7 +310,7 @@ std::optional<BasisLu> BasisLu::factor(const CscMatrix& A,
         }
       }
     }
-    if (pivot < 0 || best < options.pivot_tolerance) return std::nullopt;
+    if (pivot < 0 || best < kPivotTolerance) return std::nullopt;
 
     lu.pivot_row_[k] = static_cast<std::size_t>(pivot);
     pivoted_at[pivot] = static_cast<Index>(k);
@@ -321,7 +320,7 @@ std::optional<BasisLu> BasisLu::factor(const CscMatrix& A,
       const double v = x[row];
       x[row] = 0.0;  // reset the accumulator as we drain it
       const Index p = pivoted_at[row];
-      if (row == pivot || std::fabs(v) <= options.drop_tolerance) continue;
+      if (row == pivot || std::fabs(v) <= kDropTolerance) continue;
       if (p >= 0) {
         lu.u_idx_.push_back(p);
         lu.u_val_.push_back(v);
@@ -533,9 +532,9 @@ void BasisLu::btran(std::vector<double>& x, Workspace& ws) const {
 
 bool BasisLu::update(std::size_t r, const std::vector<double>& w) {
   const double pivot = w[r];
-  if (std::fabs(pivot) < options_.pivot_tolerance) return false;
+  if (std::fabs(pivot) < kPivotTolerance) return false;
   for (std::size_t i = 0; i < w.size(); ++i) {
-    if (i != r && std::fabs(w[i]) > options_.drop_tolerance) {
+    if (i != r && std::fabs(w[i]) > kDropTolerance) {
       eta_idx_.push_back(static_cast<Index>(i));
       eta_val_.push_back(w[i]);
     }

@@ -57,11 +57,12 @@ namespace ssco::lp {
 
 class BasisLu {
  public:
+  /// A pivot below this (in absolute value) marks the basis singular.
+  static constexpr double kPivotTolerance = 1e-11;
+  /// Entries below this are dropped from the factors and eta vectors.
+  static constexpr double kDropTolerance = 1e-14;
+
   struct Options {
-    /// A pivot below this (in absolute value) marks the basis singular.
-    double pivot_tolerance = 1e-11;
-    /// Entries below this are dropped from the factors and eta vectors.
-    double drop_tolerance = 1e-14;
     /// Eliminate basis columns in ascending nonzero-count order (stable, so
     /// ties keep position order) instead of position order — a static
     /// Markowitz-style preorder. Slack/identity columns and other singletons
@@ -150,7 +151,6 @@ class BasisLu {
   /// counts of the expanded models, far below 2^31.
   using Index = std::int32_t;
 
-  Options options_;
   /// pivot_row_[k]: row chosen as pivot at elimination step k (a permutation).
   std::vector<std::size_t> pivot_row_;
   /// Basis position eliminated at step k under a fill-reducing preorder

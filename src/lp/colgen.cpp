@@ -25,6 +25,31 @@ std::uint64_t ns_since(Clock::time_point t0) {
           .count());
 }
 
+/// Pricing rounds before giving up and materializing the full model.
+constexpr std::size_t kMaxRounds = 64;
+/// Columns the oracle may emit per float pricing call; the surplus beyond
+/// the batch feeds the driver's column pool, which reprices and recycles
+/// them in later rounds without another oracle scan.
+constexpr std::size_t kEmit = 2048;
+/// Float reduced-cost threshold for "violated". Termination never depends on
+/// it — the exact sweep has the final word at tolerance zero.
+constexpr double kPricingTolerance = 1e-7;
+/// Objective-stagnant rounds before the batch doubles.
+constexpr std::size_t kStallRounds = 4;
+/// Per-round pivot cap as a fraction of the row count (plus a constant
+/// floor), after which the round prices on the CURRENT basis's duals instead
+/// of driving the master to optimality first. Unstabilized column generation
+/// oscillates — successive restricted optima can be tens of thousands of
+/// degenerate pivots apart while better columns would short-circuit the
+/// plateau — and intermediate pricing only needs *some* dual vector, not an
+/// optimal one: optimality is only ever claimed from a round that reached
+/// the optimum AND priced clean, and the exact sweep still has the final
+/// word. (Measured on the n=128 sparse reduce: an uncapped loop burns 50k+
+/// degenerate pivots chasing successive restricted optima; 0.25 cuts the
+/// total 6x.)
+constexpr double kRoundPivotFactor = 0.25;
+constexpr std::size_t kRoundPivotFloor = 256;
+
 /// Largest restricted master the inline exact-rational tableau may be asked
 /// to rescue (rows); beyond it the dense tableau's O(m * cols) rational
 /// storage is a memory bomb and the full-model fallback is the safer net.
@@ -203,12 +228,9 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
       engine.emplace(em, std::move(layout), /*defer_initial_factor=*/true,
                      options_.simplex.equilibrate);
       if (engine->load_basis(*columns)) {
-        const std::size_t budget = options_.warm_pivot_budget != 0
-                                       ? options_.warm_pivot_budget
-                                       : 2 * em.rows.size() + 100;
         SimplexOptions warm_options = options_.simplex;
-        warm_options.max_iterations =
-            std::min(warm_options.max_iterations, budget);
+        warm_options.max_iterations = std::min(
+            warm_options.max_iterations, warm_pivot_budget(em.rows.size()));
         std::vector<double> shifted = engine->phase2_costs();
         context->cost_shifts = engine->make_dual_feasible(shifted);
         std::size_t warm_iters = 0;
@@ -305,7 +327,7 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
     return true;
   };
 
-  for (std::size_t round = 0; round < colgen.max_rounds; ++round) {
+  for (std::size_t round = 0; round < kMaxRounds; ++round) {
     obs::SpanGuard round_span("colgen_round", "solver");
     round_span.set_arg(round);
     std::vector<double> cost = engine->phase2_costs();
@@ -313,17 +335,12 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
     SimplexOptions round_options = options_.simplex;
     // Row generation grows the master's row space mid-loop, so the pivot
     // budget tracks the CURRENT row count.
-    const std::size_t round_budget =
-        colgen.round_pivot_factor > 0.0
-            ? std::max(colgen.round_pivot_floor,
-                       static_cast<std::size_t>(
-                           colgen.round_pivot_factor *
-                           static_cast<double>(em.rows.size())))
-            : 0;
-    if (round_budget != 0) {
-      round_options.max_iterations = std::min(
-          round_options.max_iterations, out.float_iterations + round_budget);
-    }
+    const std::size_t round_budget = std::max(
+        kRoundPivotFloor,
+        static_cast<std::size_t>(kRoundPivotFactor *
+                                 static_cast<double>(em.rows.size())));
+    round_options.max_iterations = std::min(
+        round_options.max_iterations, out.float_iterations + round_budget);
     SolveStatus status =
         engine->optimize(cost, round_options, out.float_iterations);
     out.colgen_round_log.push_back({master.num_variables(),
@@ -334,8 +351,7 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
     // need an optimal, cleanly-priced master), and better columns usually
     // short-circuit the degenerate plateau the cap interrupted.
     const bool round_optimal = status == SolveStatus::kOptimal;
-    if (!round_optimal && (round_budget == 0 ||
-                           status != SolveStatus::kIterationLimit ||
+    if (!round_optimal && (status != SolveStatus::kIterationLimit ||
                            out.float_iterations >=
                                options_.simplex.max_iterations)) {
       return full_fallback();
@@ -373,7 +389,7 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
       std::vector<std::pair<double, GeneratedColumn>> candidates;
       for (GeneratedColumn& gc : pool) {
         const double d = reduced_cost(gc, yp);
-        if (d < -colgen.pricing_tolerance) {
+        if (d < -kPricingTolerance) {
           candidates.emplace_back(d, std::move(gc));
         } else {
           pooled.erase(gc.name);  // priced out; the oracle may re-emit later
@@ -382,8 +398,7 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
       pool.clear();
       if (candidates.size() < batch) {
         std::vector<GeneratedColumn> emitted;
-        oracle.price(yp, colgen.pricing_tolerance,
-                     std::max(colgen.emit, batch), emitted);
+        oracle.price(yp, kPricingTolerance, std::max(kEmit, batch), emitted);
         for (GeneratedColumn& gc : emitted) {
           if (pooled.contains(gc.name)) continue;  // already a candidate
           candidates.emplace_back(reduced_cost(gc, yp), std::move(gc));
@@ -438,7 +453,7 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
       out.colgen_columns_generated = master.num_variables() - seeded;
       if (objective <=
           last_objective + 1e-12 * (1.0 + std::fabs(last_objective))) {
-        if (++stagnant >= colgen.stall_rounds) {
+        if (++stagnant >= kStallRounds) {
           batch *= 2;
           stagnant = 0;
         }
@@ -516,7 +531,7 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
     {
       OBS_SPAN("pricing_sweep");
       const auto exact_sweep_t0 = Clock::now();
-      oracle.price_exact(exact_duals, std::max(colgen.emit, batch), violated);
+      oracle.price_exact(exact_duals, std::max(kEmit, batch), violated);
       sweep_ns += ns_since(exact_sweep_t0);
     }
     if (!violated.empty()) {

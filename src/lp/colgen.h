@@ -162,34 +162,10 @@ class PricingOracle {
 };
 
 struct ColGenOptions {
-  /// Pricing rounds before giving up and materializing the full model.
-  std::size_t max_rounds = 64;
-  /// Columns appended to the master per round. Doubles after `stall_rounds`
+  /// Columns appended to the master per round. Doubles after a few
   /// objective-stagnant rounds (degenerate colgen tails shrink with bigger
   /// batches), so the effective batch adapts to the instance.
   std::size_t batch = 512;
-  /// Columns the oracle may emit per float pricing call; the surplus beyond
-  /// `batch` feeds the driver's column pool, which repriced-and-recycles
-  /// them in later rounds without another oracle scan.
-  std::size_t emit = 2048;
-  /// Float reduced-cost threshold for "violated". Termination never depends
-  /// on it — the exact sweep has the final word at tolerance zero.
-  double pricing_tolerance = 1e-7;
-  /// Objective-stagnant rounds before the batch doubles.
-  std::size_t stall_rounds = 4;
-  /// Per-round pivot cap as a fraction of the row count (plus a constant
-  /// floor), after which the round prices on the CURRENT basis's duals
-  /// instead of driving the master to optimality first. Unstabilized column
-  /// generation oscillates — successive restricted optima can be tens of
-  /// thousands of degenerate pivots apart while better columns would
-  /// short-circuit the plateau — and intermediate pricing only needs *some*
-  /// dual vector, not an optimal one: optimality is only ever claimed from
-  /// a round that reached the optimum AND priced clean, and the exact sweep
-  /// still has the final word. 0 disables the cap. (Measured on the n=128
-  /// sparse reduce: an uncapped loop burns 50k+ degenerate pivots chasing
-  /// successive restricted optima; 0.25 cuts the total 6x.)
-  double round_pivot_factor = 0.25;
-  std::size_t round_pivot_floor = 256;
   /// Wentges dual smoothing: pricing rounds price against
   ///   y~ = stabilization * y_center + (1 - stabilization) * y,
   /// where y_center is the dual vector of the best master objective seen so

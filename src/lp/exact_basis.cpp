@@ -143,12 +143,16 @@ std::vector<Rational> multiply_transposed_parallel(
   return x;
 }
 
+/// Refinement iterations before giving up (each gains ~50 bits).
+constexpr int kMaxRefinements = 80;
+/// Attempt rational reconstruction every this many refinements.
+constexpr int kReconstructEvery = 4;
+
 /// Exact iterative refinement of one system against a shared factorization:
 /// M x = rhs via FTRAN, or M' x = rhs via BTRAN when `transposed`.
 std::optional<std::vector<Rational>> refine_exact(
     const SparseColumns& matrix, const BasisLu& lu, bool transposed,
-    const std::vector<Rational>& rhs, const ExactSolveOptions& options,
-    const Parallel& par = {}) {
+    const std::vector<Rational>& rhs, const Parallel& par = {}) {
   const std::size_t n = matrix.n;
   auto apply_exact = [&](const std::vector<Rational>& x) {
     return transposed ? multiply_transposed_parallel(matrix, x, par)
@@ -162,7 +166,7 @@ std::optional<std::vector<Rational>> refine_exact(
   // Bits of accuracy gained so far (estimate; verification is exact anyway).
   int accuracy_bits = 0;
 
-  for (int iteration = 0; iteration < options.max_refinements; ++iteration) {
+  for (int iteration = 0; iteration < kMaxRefinements; ++iteration) {
     // Scale the residual to O(1) with a power of two so the double solve
     // operates at full precision regardless of how tiny the residual got.
     int scale_log = std::numeric_limits<int>::min();
@@ -210,8 +214,8 @@ std::optional<std::vector<Rational>> refine_exact(
                    });
     accuracy_bits += 40;  // conservative per-pass gain
 
-    const bool last = iteration + 1 == options.max_refinements;
-    if ((iteration + 1) % options.reconstruct_every == 0 || last) {
+    const bool last = iteration + 1 == kMaxRefinements;
+    if ((iteration + 1) % kReconstructEvery == 0 || last) {
       // Reconstruct with denominators up to ~2^(accuracy/2 - margin).
       int den_bits = accuracy_bits / 2 - 8;
       if (den_bits < 4) continue;
@@ -239,20 +243,18 @@ std::optional<std::vector<Rational>> refine_exact(
 }  // namespace
 
 std::optional<std::vector<Rational>> solve_sparse_exact(
-    const SparseColumns& matrix, const std::vector<Rational>& rhs,
-    const ExactSolveOptions& options) {
+    const SparseColumns& matrix, const std::vector<Rational>& rhs) {
   if (matrix.n != rhs.size()) return std::nullopt;
   if (matrix.n == 0) return std::vector<Rational>{};
 
   auto lu = factor_double_image(matrix);
   if (!lu) return std::nullopt;
-  return refine_exact(matrix, *lu, /*transposed=*/false, rhs, options);
+  return refine_exact(matrix, *lu, /*transposed=*/false, rhs);
 }
 
 std::optional<ExactBasisSolves> solve_sparse_exact_pair(
     const SparseColumns& matrix, const std::vector<Rational>& rhs,
-    const std::vector<Rational>& rhs_transposed,
-    const ExactSolveOptions& options, const Parallel& parallel) {
+    const std::vector<Rational>& rhs_transposed, const Parallel& parallel) {
   if (matrix.n != rhs.size() || matrix.n != rhs_transposed.size()) {
     return std::nullopt;
   }
@@ -261,11 +263,10 @@ std::optional<ExactBasisSolves> solve_sparse_exact_pair(
   auto lu = factor_double_image(matrix);
   if (!lu) return std::nullopt;
   if (parallel.is_serial()) {
-    auto straight =
-        refine_exact(matrix, *lu, /*transposed=*/false, rhs, options);
+    auto straight = refine_exact(matrix, *lu, /*transposed=*/false, rhs);
     if (!straight) return std::nullopt;
-    auto transposed = refine_exact(matrix, *lu, /*transposed=*/true,
-                                   rhs_transposed, options);
+    auto transposed =
+        refine_exact(matrix, *lu, /*transposed=*/true, rhs_transposed);
     if (!transposed) return std::nullopt;
     return ExactBasisSolves{std::move(*straight), std::move(*transposed)};
   }
@@ -278,12 +279,11 @@ std::optional<ExactBasisSolves> solve_sparse_exact_pair(
   std::optional<std::vector<Rational>> transposed;
   parallel.invoke_all({
       [&] {
-        straight =
-            refine_exact(matrix, *lu, /*transposed=*/false, rhs, options, half);
+        straight = refine_exact(matrix, *lu, /*transposed=*/false, rhs, half);
       },
       [&] {
         transposed = refine_exact(matrix, *lu, /*transposed=*/true,
-                                  rhs_transposed, options, half);
+                                  rhs_transposed, half);
       },
   });
   if (!straight || !transposed) return std::nullopt;

@@ -41,18 +41,10 @@ struct SparseColumns {
       const std::vector<Rational>& y) const;
 };
 
-struct ExactSolveOptions {
-  /// Refinement iterations before giving up (each gains ~50 bits).
-  int max_refinements = 80;
-  /// Attempt rational reconstruction every this many refinements.
-  int reconstruct_every = 4;
-};
-
 /// Solves M x = rhs exactly. Returns nullopt when M is numerically singular
 /// or refinement fails to converge to a verifiable rational solution.
 [[nodiscard]] std::optional<std::vector<Rational>> solve_sparse_exact(
-    const SparseColumns& matrix, const std::vector<Rational>& rhs,
-    const ExactSolveOptions& options = {});
+    const SparseColumns& matrix, const std::vector<Rational>& rhs);
 
 /// Both systems a simplex basis verification needs — M x = rhs and
 /// M' y = rhs_transposed — from ONE shared double LU factorization (FTRAN
@@ -70,6 +62,6 @@ struct ExactBasisSolves {
 [[nodiscard]] std::optional<ExactBasisSolves> solve_sparse_exact_pair(
     const SparseColumns& matrix, const std::vector<Rational>& rhs,
     const std::vector<Rational>& rhs_transposed,
-    const ExactSolveOptions& options = {}, const Parallel& parallel = {});
+    const Parallel& parallel = {});
 
 }  // namespace ssco::lp

@@ -29,11 +29,15 @@ std::uint64_t ns_since(Clock::time_point t0) {
 /// rational work, so fairly fine shards still amortize the fork.
 constexpr std::size_t kMinCertifyPerShard = 16;
 
+/// Reconstruction tolerance: |rounded - double| must be below this.
+constexpr double kReconstructTolerance = 1e-6;
+
 /// Rounds every entry of `values` to a rational with denominator <= cap;
-/// returns nullopt when any entry fails the tolerance test. Entries are
-/// independent, so the sharded fill is bit-identical to the serial scan.
+/// returns nullopt when any entry fails the kReconstructTolerance test.
+/// Entries are independent, so the sharded fill is bit-identical to the
+/// serial scan.
 std::optional<std::vector<Rational>> reconstruct_vector(
-    const std::vector<double>& values, std::uint64_t cap, double tolerance,
+    const std::vector<double>& values, std::uint64_t cap,
     const Parallel& par = {}) {
   std::vector<Rational> out(values.size());
   const std::size_t shards = par.shard_count(values.size(), kMinCertifyPerShard);
@@ -42,7 +46,8 @@ std::optional<std::vector<Rational>> reconstruct_vector(
                  [&](std::size_t shard, std::size_t begin, std::size_t end) {
                    bool all = true;
                    for (std::size_t i = begin; i < end && all; ++i) {
-                     auto r = num::rational_near_double(values[i], tolerance, cap);
+                     auto r = num::rational_near_double(
+                         values[i], kReconstructTolerance, cap);
                      if (r) {
                        out[i] = std::move(*r);
                      } else {
@@ -113,7 +118,7 @@ std::optional<BasisVerified> verify_from_basis(
   for (std::size_t i = 0; i < m; ++i) rhs[i] = em.rows[i].rhs;
 
   // One shared LU: B x_B = b via FTRAN-refinement, B' y = c_B via BTRAN.
-  auto solves = solve_sparse_exact_pair(b_matrix, rhs, cost_basis, {}, par);
+  auto solves = solve_sparse_exact_pair(b_matrix, rhs, cost_basis, par);
   if (!solves) return std::nullopt;
 
   BasisVerified out;
@@ -323,10 +328,8 @@ bool certify_float_result(const ExpandedModel& em,
                           const ExactSolverOptions& options,
                           ExactSolution& out, const Parallel& parallel) {
   for (std::uint64_t cap : options.denominator_caps) {
-    auto x = reconstruct_vector(fp.primal, cap, options.reconstruct_tolerance,
-                                parallel);
-    auto y = reconstruct_vector(fp.dual, cap, options.reconstruct_tolerance,
-                                parallel);
+    auto x = reconstruct_vector(fp.primal, cap, parallel);
+    auto y = reconstruct_vector(fp.dual, cap, parallel);
     if (!x || !y) continue;
     // Clamp reconstruction noise: tiny negatives are infeasible exactly.
     for (Rational& v : *x) {
@@ -518,11 +521,8 @@ ExactSolution ExactSolver::solve_impl(const Model& model,
     if (auto columns = map_warm_basis(context->warm, model, em, layout)) {
       context->warm_attempted = true;
       SimplexOptions warm_options = options_.simplex;
-      const std::size_t budget = options_.warm_pivot_budget != 0
-                                     ? options_.warm_pivot_budget
-                                     : 2 * em.rows.size() + 100;
-      warm_options.max_iterations =
-          std::min(warm_options.max_iterations, budget);
+      warm_options.max_iterations = std::min(
+          warm_options.max_iterations, warm_pivot_budget(em.rows.size()));
       DualSolveInfo info;
       SimplexResult<double> warm = solve_from_basis(
           em, std::move(layout), *columns, warm_options, &info);
@@ -602,10 +602,8 @@ ExactSolution ExactSolver::solve_impl(const Model& model,
         OBS_SPAN("certify");
         const auto t0 = Clock::now();
         for (std::uint64_t cap : options_.denominator_caps) {
-          auto x = reconstruct_vector(fr.primal, cap,
-                                      options_.reconstruct_tolerance, par);
-          auto y = reconstruct_vector(fr.dual, cap,
-                                      options_.reconstruct_tolerance, par);
+          auto x = reconstruct_vector(fr.primal, cap, par);
+          auto y = reconstruct_vector(fr.dual, cap, par);
           if (!x || !y) continue;
           for (Rational& v : *x) {
             if (v.is_negative()) v = Rational(0);

@@ -113,8 +113,6 @@ struct ExactSolverOptions {
   /// Denominator caps tried, in order, when reconstructing rationals from the
   /// double solution.
   std::vector<std::uint64_t> denominator_caps = {1u << 12, 1u << 20, 1u << 26};
-  /// Reconstruction tolerance: |rounded - double| must be below this.
-  double reconstruct_tolerance = 1e-6;
   /// Allow recovering the exact solution from the optimal double basis
   /// (double LU + exact iterative refinement; handles degenerate vertices
   /// whose coordinates have huge denominators).
@@ -127,11 +125,6 @@ struct ExactSolverOptions {
   /// re-verified, so presolve can never cost correctness. Warm re-solves
   /// and the exact fallback always see the full model.
   bool presolve = true;
-  /// Pivot budget for a warm-started float pass before giving up and going
-  /// cold (0 = automatic: 2m + 100 for an m-row expanded model). A stale
-  /// basis on a heavily mutated platform can cost more pivots than a cold
-  /// solve; the budget bounds the downside of trying.
-  std::size_t warm_pivot_budget = 0;
   /// Thread budget for the parallel column loops — certificate
   /// verification, exact basis recovery, colgen pricing sweeps
   /// (lp/parallel.h). 0 = all hardware threads, 1 = fully serial. Results
@@ -225,6 +218,13 @@ class ExactSolver {
   /// Resolves this solve's Parallel handle: the context's thread budget if
   /// set, else the options', on the injected pool or the shared one.
   [[nodiscard]] Parallel solve_parallel(const SolveContext* context) const;
+  /// Pivot budget for a warm-started float pass before giving up and going
+  /// cold: 2m + 100 for an m-row expanded model. A stale basis on a heavily
+  /// mutated platform can cost more pivots than a cold solve; the budget
+  /// bounds the downside of trying.
+  [[nodiscard]] static std::size_t warm_pivot_budget(std::size_t rows) {
+    return 2 * rows + 100;
+  }
   /// Adds one finished solve to the process-wide registry (shared by
   /// solve() and solve_colgen()).
   static void record_solve(const ExactSolution& solution,

@@ -99,6 +99,11 @@ TEST(GossipLp, RejectsMalformedInstances) {
   bad = inst;
   bad.message_size = R("-1");
   EXPECT_THROW(solve_gossip(bad), std::invalid_argument);
+  // No pair with source != target: the LP would hold only TP (unbounded).
+  bad = inst;
+  bad.sources = {2};
+  bad.targets = {2};
+  EXPECT_THROW(solve_gossip(bad), std::invalid_argument);
 }
 
 class GossipLpPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};

@@ -255,7 +255,7 @@ std::optional<RefLu> ref_factor(const CscMatrix& A,
         pivot = row;
       }
     }
-    if (pivot == m || best < BasisLu::Options{}.pivot_tolerance) {
+    if (pivot == m || best < BasisLu::kPivotTolerance) {
       return std::nullopt;
     }
     lu.pivot_row[k] = pivot;
@@ -266,9 +266,7 @@ std::optional<RefLu> ref_factor(const CscMatrix& A,
       const double v = x[row];
       x[row] = 0.0;
       const std::size_t p = pivoted_at[row];
-      if (row == pivot || std::fabs(v) <= BasisLu::Options{}.drop_tolerance) {
-        continue;
-      }
+      if (row == pivot || std::fabs(v) <= BasisLu::kDropTolerance) continue;
       if (p != m) {
         lu.ucol[k].emplace_back(p, v);
       } else {

@@ -265,7 +265,7 @@ TEST(ParallelBitIdentity, ScatterDensePathAcrossThreadCounts) {
     const core::MultiFlow base = core::solve_scatter(inst);
     ASSERT_TRUE(base.certified);
     for (std::size_t threads : {2u, 4u, 8u}) {
-      const auto options = with_threads<core::ScatterLpOptions>(&pool, threads);
+      const auto options = with_threads<core::FlowLpOptions>(&pool, threads);
       const core::MultiFlow sol = core::solve_scatter(inst, options);
       ASSERT_TRUE(sol.certified);
       EXPECT_EQ(sol.throughput, base.throughput)

@@ -338,6 +338,12 @@ TEST(OverloadTest, DeadlineMissServesStaleDegradedAndResolvesInBackground) {
   for (std::uint64_t i = 0; i < 6; ++i) {
     fillers.push_back(service.submit(scatter_request(900 + i, 12, 5)));
   }
+  // The worker prefers the warm lane: were it still idle when the variant
+  // arrives, it could pop the variant inside its deadline and solve it warm.
+  // A cold queue of at most 5 means the worker holds a filler.
+  while (metric(service.metrics_snapshot(), "service_cold_queue_depth") > 5) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
   PlanRequest variant = scaled_request(base, 21, 20);  // +5% costs
   variant.deadline_ms = 0.01;
   const PlanResult stale = service.submit(variant).get();

@@ -345,7 +345,9 @@ TEST(OverloadTest, DeadlineMissServesStaleDegradedAndResolvesInBackground) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
   PlanRequest variant = scaled_request(base, 21, 20);  // +5% costs
-  variant.deadline_ms = 0.01;
+  // 1 ns has passed by any pop. A 10 us deadline had not when the worker
+  // finished its filler within 10 us of this submit.
+  variant.deadline_ms = 1e-6;
   const PlanResult stale = service.submit(variant).get();
 
   EXPECT_TRUE(stale.degraded);

@@ -5,8 +5,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <exception>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -763,11 +765,32 @@ class Engine {
 
   template <typename NowFn>
   void worker_loop(NowFn now_fn) {
+    std::unique_lock lock(mu_, std::defer_lock);
+    // An exception must not escape a std::thread (that calls
+    // std::terminate): it ends the run as a typed fault instead.
+    std::optional<std::string> thrown;
+    try {
+      run_worker(now_fn, lock);
+    } catch (const std::exception& e) {
+      thrown = e.what();
+    } catch (...) {
+      thrown = "non-standard exception";
+    }
+    if (!lock.owns_lock()) lock.lock();
+    if (thrown) {
+      set_fault(now_fn(), FaultCode::kWorkerException,
+                "worker thread threw: " + *thrown);
+    }
+    cv_.notify_all();
+  }
+
+  template <typename NowFn>
+  void run_worker(NowFn now_fn, std::unique_lock<std::mutex>& lock) {
     // Sanitizer builds run 5-20x slower; scale the watchdog so instrumented
     // CI can't fire it on a healthy run.
     const double watchdog =
         kWatchdogSeconds * (sanitized_build() ? 5.0 : 1.0);
-    std::unique_lock lock(mu_);
+    lock.lock();
     while (!done_) {
       const double now = now_fn();
       if (opt_.deadline_seconds > 0 && now > opt_.deadline_seconds) {
@@ -801,7 +824,6 @@ class Engine {
       cv_.wait_for(lock, std::chrono::duration<double>(
                              std::max(1e-5, wake - now_fn())));
     }
-    cv_.notify_all();
   }
 
   // ---- reporting ---------------------------------------------------------

@@ -39,6 +39,7 @@ const char* fault_code_name(FaultCode code) {
     case FaultCode::kIdentityUnderflow: return "identity-underflow";
     case FaultCode::kIncompleteWindow: return "incomplete-window";
     case FaultCode::kCountOverflow: return "count-overflow";
+    case FaultCode::kWorkerException: return "worker-exception";
   }
   return "unknown";
 }

@@ -63,6 +63,7 @@ enum class FaultCode : std::uint8_t {
   kIdentityUnderflow, ///< message identity bookkeeping underflow (engine bug)
   kIncompleteWindow,  ///< execution ended before the measurement window closed
   kCountOverflow,     ///< the run's operation count does not fit 64 bits
+  kWorkerException,   ///< threaded backend: a worker thread threw (e.g. bad_alloc)
 };
 
 [[nodiscard]] const char* fault_code_name(FaultCode code);

@@ -342,6 +342,14 @@ std::optional<BasisLu> BasisLu::factor(const CscMatrix& A,
     }
   }
   lu.factor_nnz_ = m + lu.l_idx_.size() + lu.u_idx_.size();
+  lu.step_of_row_.assign(pivoted_at.begin(), pivoted_at.end());
+  if (!lu.pos_of_step_.empty()) {
+    lu.step_of_pos_.resize(m);
+    for (std::size_t k = 0; k < m; ++k) {
+      lu.step_of_pos_[static_cast<std::size_t>(lu.pos_of_step_[k])] =
+          static_cast<Index>(k);
+    }
+  }
 
   // Transposed mirrors for the push-form BTRAN solves, by counting sort —
   // entries of row j (ur) / original row r (ltrans) end up ordered by
@@ -385,8 +393,12 @@ std::size_t BasisLu::append_identity_row() {
   // existing factor or eta entry (all their indices stay valid).
   const std::size_t row = dim();
   // Under a fill-reducing preorder the new step eliminates the new position.
-  if (!pos_of_step_.empty()) pos_of_step_.push_back(static_cast<Index>(row));
+  if (!pos_of_step_.empty()) {
+    pos_of_step_.push_back(static_cast<Index>(row));
+    step_of_pos_.push_back(static_cast<Index>(row));
+  }
   pivot_row_.push_back(row);
+  step_of_row_.push_back(static_cast<Index>(row));
   l_start_.push_back(l_idx_.size());
   u_start_.push_back(u_idx_.size());
   diag_.push_back(1.0);
@@ -399,98 +411,175 @@ std::size_t BasisLu::append_identity_row() {
   return row;
 }
 
-void BasisLu::ftran(std::vector<double>& x, Workspace& ws) const {
+const Support& BasisLu::ftran(std::vector<double>& x, Workspace& ws) const {
+  ws.rows.clear();
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x[i] != 0.0) ws.rows.push_back(i);
+  }
+  return ftran(x, ws.rows, ws);
+}
+
+// Every loop below visits exactly the steps (positions) the dense loops
+// found nonzero, in the same order, and skips a floating-point operation
+// only when an operand is exactly zero. The results therefore match the
+// dense loops bit for bit, except that an entry the dense U pass left as
+// 0.0 / d carries d's sign there and +0.0 here.
+const Support& BasisLu::ftran(std::vector<double>& x,
+                              std::span<const std::size_t> rows,
+                              Workspace& ws) const {
   const std::size_t m = dim();
-  // Apply L^-1 (row space).
+  const std::size_t words = (m + 63) / 64;
+  // Steps whose pivot row may be nonzero.
+  Support& steps = ws.pending;
+  steps.assign(words, 0);
+  const auto mark = [](Support& bits, std::size_t k) {
+    bits[k / 64] |= std::uint64_t{1} << (k % 64);
+  };
+  for (const std::size_t row : rows) {
+    mark(steps, static_cast<std::size_t>(step_of_row_[row]));
+  }
+  // Apply L^-1 (row space), lowest step first. Column k of L holds rows
+  // pivoted at later steps only, so every bit it sets lies above the
+  // cursor and the drain reaches it in ascending order.
   {
     const Index* const idx = l_idx_.data();
     const double* const val = l_val_.data();
-    for (std::size_t k = 0; k < m; ++k) {
-      const double xp = x[pivot_row_[k]];
-      if (xp == 0.0) continue;
-      const std::size_t end = l_start_[k + 1];
-      for (std::size_t t = l_start_[k]; t < end; ++t) {
-        x[idx[t]] -= val[t] * xp;
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t done = 0;
+      for (std::uint64_t todo; (todo = steps[w] & ~done) != 0;) {
+        const std::uint64_t low = todo & (~todo + 1);
+        done |= low;
+        const std::size_t k =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(low));
+        const double xp = x[pivot_row_[k]];
+        if (xp == 0.0) continue;
+        const std::size_t end = l_start_[k + 1];
+        for (std::size_t t = l_start_[k]; t < end; ++t) {
+          const auto row = static_cast<std::size_t>(idx[t]);
+          x[row] -= val[t] * xp;
+          mark(steps, static_cast<std::size_t>(step_of_row_[row]));
+        }
       }
     }
   }
-  // Permute into position space, then backsolve U.
-  std::vector<double>& y = ws.scratch;
+  // Move into step space; x is all zero afterwards.
+  std::vector<double>& y = ws.steps;
   y.resize(m);
-  for (std::size_t k = 0; k < m; ++k) y[k] = x[pivot_row_[k]];
+  for_each_bit(steps, [&](std::size_t k) {
+    y[k] = x[pivot_row_[k]];
+    x[pivot_row_[k]] = 0.0;
+  });
+  // Backsolve U, highest step first: column k of U holds earlier steps
+  // only, so new bits land below the cursor.
   {
     const Index* const idx = u_idx_.data();
     const double* const val = u_val_.data();
-    for (std::size_t k = m; k-- > 0;) {
-      const double t = y[k] / diag_[k];
-      y[k] = t;
-      if (t == 0.0) continue;
-      const std::size_t end = u_start_[k + 1];
-      for (std::size_t tt = u_start_[k]; tt < end; ++tt) {
-        y[idx[tt]] -= val[tt] * t;
+    for (std::size_t w = words; w-- > 0;) {
+      std::uint64_t done = 0;
+      for (std::uint64_t todo; (todo = steps[w] & ~done) != 0;) {
+        const int b = 63 - std::countl_zero(todo);
+        done |= std::uint64_t{1} << b;
+        const std::size_t k = w * 64 + static_cast<std::size_t>(b);
+        const double t = y[k] / diag_[k];
+        y[k] = t;
+        if (t == 0.0) continue;
+        const std::size_t end = u_start_[k + 1];
+        for (std::size_t tt = u_start_[k]; tt < end; ++tt) {
+          const auto j = static_cast<std::size_t>(idx[tt]);
+          y[j] -= val[tt] * t;
+          mark(steps, j);
+        }
       }
     }
   }
-  // y is in STEP space; under a preorder (pos_of_step_ non-empty) scatter it
-  // into position space — the permutation covers every index, so x is fully
-  // overwritten. Identity order keeps the allocation-free swap.
+  // y is in STEP space; under a preorder (pos_of_step_ non-empty) scatter
+  // it into position space. Either way ws.steps is all zero again after.
+  Support& support = ws.support;
   if (pos_of_step_.empty()) {
     x.swap(y);
+    support.swap(steps);
   } else {
-    for (std::size_t k = 0; k < m; ++k) {
-      x[static_cast<std::size_t>(pos_of_step_[k])] = y[k];
-    }
+    support.assign(words, 0);
+    for_each_bit(steps, [&](std::size_t k) {
+      const auto pos = static_cast<std::size_t>(pos_of_step_[k]);
+      x[pos] = y[k];
+      y[k] = 0.0;
+      mark(support, pos);
+    });
   }
-  // Product-form updates, oldest first.
+  // Product-form updates, oldest first. An eta whose pivot entry is zero
+  // changes nothing.
   {
     const Index* const idx = eta_idx_.data();
     const double* const val = eta_val_.data();
     for (std::size_t e = 0; e < eta_r_.size(); ++e) {
       const auto r = static_cast<std::size_t>(eta_r_[e]);
+      if (x[r] == 0.0) continue;
       const double t = x[r] / eta_pivot_[e];
       x[r] = t;
       if (t == 0.0) continue;
       const std::size_t end = eta_start_[e + 1];
       for (std::size_t tt = eta_start_[e]; tt < end; ++tt) {
-        x[idx[tt]] -= val[tt] * t;
+        const auto i = static_cast<std::size_t>(idx[tt]);
+        x[i] -= val[tt] * t;
+        mark(support, i);
       }
     }
   }
+  return support;
 }
 
 void BasisLu::btran(std::vector<double>& x, Workspace& ws) const {
   const std::size_t m = dim();
+  // Positions where the running vector may be nonzero.
+  Support& live = ws.pending;
+  live.assign((m + 63) / 64, 0);
+  for (std::size_t k = 0; k < m; ++k) {
+    if (x[k] != 0.0) live[k / 64] |= std::uint64_t{1} << (k % 64);
+  }
   // Transposed eta file, newest first: each eta contributes a gather dot
-  // product. Accumulation stays in strict term order — NOT unrolled into
+  // product over the terms where the running vector is nonzero — the
+  // intersection of the eta's word bitset with `live`, walked in ascending
+  // position, i.e. the dense loop's term order minus its zero terms.
+  // Accumulation stays in strict term order — NOT unrolled into
   // independent accumulators — because reassociating it perturbs the pivot
   // path and thereby which optimal VERTEX degenerate models land on;
   // downstream consumers (tree extraction, schedules) are vertex-sensitive
-  // even though the objective is not. The SoA layout still pipelines the
-  // index/value streams.
+  // even though the objective is not.
   {
     const Index* const idx = eta_idx_.data();
     const double* const val = eta_val_.data();
     for (std::size_t e = eta_r_.size(); e-- > 0;) {
-      const std::size_t end = eta_start_[e + 1];
-      double t = x[eta_r_[e]];
-      for (std::size_t tt = eta_start_[e]; tt < end; ++tt) {
-        t -= val[tt] * x[idx[tt]];
+      const auto r = static_cast<std::size_t>(eta_r_[e]);
+      double t = x[r];
+      const std::size_t end = eta_word_start_[e + 1];
+      for (std::size_t g = eta_word_start_[e]; g < end; ++g) {
+        const EtaWord& ew = eta_words_[g];
+        for (std::uint64_t hit = ew.bits & live[ew.word]; hit != 0;
+             hit &= hit - 1) {
+          const std::uint64_t below = (hit & (~hit + 1)) - 1;
+          const std::size_t tt =
+              ew.first + static_cast<std::size_t>(std::popcount(ew.bits & below));
+          t -= val[tt] * x[static_cast<std::size_t>(idx[tt])];
+        }
       }
-      x[eta_r_[e]] = t / eta_pivot_[e];
+      t /= eta_pivot_[e];
+      x[r] = t;
+      if (t != 0.0) live[r / 64] |= std::uint64_t{1} << (r % 64);
     }
   }
   // Forward solve U' w = c, PUSH form: once w_k is final its contributions
   // scatter along row k of U, and a zero w_k — the overwhelmingly common
   // case for the near-singleton vectors the simplex prices with — costs
-  // nothing. U is indexed by STEP; under a preorder the position-space input
-  // is first gathered into step space (ws.scratch2), the identity order
-  // solves in x directly.
+  // nothing. U is indexed by STEP; under a preorder the live positions of
+  // the input are first gathered into step space (ws.scratch2), the
+  // identity order solves in x directly.
   std::vector<double>* w = &x;
   if (!pos_of_step_.empty()) {
-    ws.scratch2.resize(m);
-    for (std::size_t k = 0; k < m; ++k) {
-      ws.scratch2[k] = x[static_cast<std::size_t>(pos_of_step_[k])];
-    }
+    ws.scratch2.assign(m, 0.0);
+    for_each_bit(live, [&](std::size_t pos) {
+      ws.scratch2[static_cast<std::size_t>(step_of_pos_[pos])] = x[pos];
+    });
     w = &ws.scratch2;
   }
   {
@@ -508,11 +597,12 @@ void BasisLu::btran(std::vector<double>& x, Workspace& ws) const {
       }
     }
   }
-  // Permute back to row space and apply L^-T, newest elimination step
-  // first, again in push form: y[pivot_row_[k]] is final when step k runs
-  // (ltrans only targets earlier elimination steps).
+  // Permute back to row space (the permutation writes every entry) and
+  // apply L^-T, newest elimination step first, again in push form:
+  // y[pivot_row_[k]] is final when step k runs (ltrans only targets earlier
+  // elimination steps).
   std::vector<double>& y = ws.scratch;
-  y.assign(m, 0.0);
+  y.resize(m);
   for (std::size_t k = 0; k < m; ++k) y[pivot_row_[k]] = (*w)[k];
   {
     const Index* const idx = lt_idx_.data();
@@ -530,15 +620,22 @@ void BasisLu::btran(std::vector<double>& x, Workspace& ws) const {
   x.swap(y);
 }
 
-bool BasisLu::update(std::size_t r, const std::vector<double>& w) {
+bool BasisLu::update(std::size_t r, const std::vector<double>& w,
+                     const Support& nonzeros) {
   const double pivot = w[r];
   if (std::fabs(pivot) < kPivotTolerance) return false;
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    if (i != r && std::fabs(w[i]) > kDropTolerance) {
-      eta_idx_.push_back(static_cast<Index>(i));
-      eta_val_.push_back(w[i]);
+  const std::size_t first_word = eta_words_.size();
+  for_each_bit(nonzeros, [&](std::size_t i) {
+    if (i == r || !(std::fabs(w[i]) > kDropTolerance)) return;
+    const auto word = static_cast<Index>(i / 64);
+    if (eta_words_.size() == first_word || eta_words_.back().word != word) {
+      eta_words_.push_back({eta_idx_.size(), 0, word});
     }
-  }
+    eta_words_.back().bits |= std::uint64_t{1} << (i % 64);
+    eta_idx_.push_back(static_cast<Index>(i));
+    eta_val_.push_back(w[i]);
+  });
+  eta_word_start_.push_back(eta_words_.size());
   eta_nnz_ += eta_idx_.size() - eta_start_.back() + 1;
   eta_start_.push_back(eta_idx_.size());
   eta_r_.push_back(static_cast<Index>(r));

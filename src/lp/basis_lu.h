@@ -16,8 +16,17 @@
 // per refactorization, while performing the EXACT same floating-point
 // operations in the same order. The factors support
 //   * FTRAN: solve B x = b   (entering-column transform, basic values),
-//   * BTRAN: solve B' y = c  (simplex multipliers, pricing row),
-// each in O(nnz(L) + nnz(U)) plus the eta file.
+//   * BTRAN: solve B' y = c  (simplex multipliers, pricing row).
+// FTRAN is hypersparse (Gilbert–Peierls reach plus Hall–McKinnon): it takes
+// b with its nonzero rows, drains bitsets of the steps that can be nonzero
+// through L (lowest first) and U (highest first), skips every eta whose
+// pivot entry is zero, and returns the positions that may be nonzero, so its
+// cost tracks the nonzeros it touches, not m. BTRAN's eta pass reads only
+// eta entries at positions where the running vector is nonzero; its U' and
+// L' passes stay dense loops, because the multipliers end mostly dense.
+// Both skip a floating-point operation only when an operand is exactly
+// zero, so every nonzero result is bit-identical to the dense loops'; only
+// the sign of a zero can differ.
 //
 // Storage is structure-of-arrays: every factor (L and U by column, their
 // transposed mirrors by row, the eta file) lives in one flat arena of
@@ -45,15 +54,32 @@
 // (lp/exact_solver.h). update() is the only mutating call and requires
 // external exclusion.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "lp/aligned.h"
 #include "lp/sparse.h"
 
 namespace ssco::lp {
+
+/// A set of indices, one bit each (index k is bit k % 64 of word k / 64):
+/// the positions where a sparse FTRAN result may be nonzero. A superset is
+/// always valid; every index outside it holds an exact zero.
+using Support = std::vector<std::uint64_t>;
+
+/// Calls fn(k) for every index k in `bits`, in ascending order.
+template <typename Fn>
+void for_each_bit(const Support& bits, Fn&& fn) {
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    for (std::uint64_t b = bits[w]; b != 0; b &= b - 1) {
+      fn(w * 64 + static_cast<std::size_t>(std::countr_zero(b)));
+    }
+  }
+}
 
 class BasisLu {
  public:
@@ -103,18 +129,35 @@ class BasisLu {
 
   /// Per-call scratch of ftran/btran. Caller-owned (a per-thread or
   /// per-engine member, reused across calls so the hot loops never
-  /// allocate); contents are meaningless between calls.
+  /// allocate). Apart from `steps`, contents are meaningless between calls.
   struct Workspace {
+    /// btran's row-space result buffer.
     std::vector<double> scratch;
     /// Second scratch used by btran when the factorization carries a
     /// fill-reducing preorder (the position -> step permute needs a buffer
     /// distinct from the row-space accumulator).
     std::vector<double> scratch2;
+    /// ftran's step-space accumulator; all zero between calls.
+    std::vector<double> steps;
+    /// Nonzero rows of a dense ftran right-hand side.
+    std::vector<std::size_t> rows;
+    /// ftran's step drain; btran's running support.
+    Support pending;
+    /// The positions ftran returns.
+    Support support;
   };
 
-  /// Solves B x = b in place: on entry `x` holds b (row space), on exit the
-  /// solution in basis-position space.
-  void ftran(std::vector<double>& x, Workspace& ws) const;
+  /// Solves B x = b in place: on entry `x` (size dim()) holds b in row
+  /// space, and `rows` lists every row where b may be nonzero; on exit `x`
+  /// holds the solution in basis-position space. Returns the positions
+  /// where the solution may be nonzero (it is exactly zero everywhere
+  /// else); the reference points into `ws` and stays valid until the next
+  /// ftran on it.
+  const Support& ftran(std::vector<double>& x,
+                       std::span<const std::size_t> rows,
+                       Workspace& ws) const;
+  /// Dense right-hand side: scans `x` once for its nonzero rows.
+  const Support& ftran(std::vector<double>& x, Workspace& ws) const;
 
   /// Solves B' y = c in place: on entry `x` holds c (basis-position space),
   /// on exit the solution in row space.
@@ -132,10 +175,12 @@ class BasisLu {
   }
 
   /// Absorbs a basis exchange at position `r` as an eta vector, where `w` is
-  /// the FTRAN-transformed entering column (w = B^-1 a, position space).
+  /// the FTRAN-transformed entering column (w = B^-1 a, position space) and
+  /// `nonzeros` covers every position where w is nonzero (ftran's result).
   /// Returns false — leaving the factorization unchanged — when |w[r]| is
   /// too small to pivot on; the caller should refactorize instead.
-  [[nodiscard]] bool update(std::size_t r, const std::vector<double>& w);
+  [[nodiscard]] bool update(std::size_t r, const std::vector<double>& w,
+                            const Support& nonzeros);
 
   /// Extends the factorization by one dimension for a freshly APPENDED
   /// matrix row whose basic column is the unit vector on that row (the
@@ -147,16 +192,22 @@ class BasisLu {
   std::size_t append_identity_row();
 
  private:
+  friend struct BasisLuTestAccess;  // dense reference loops in the tests
+
   /// Row / position indices of the factor arenas. Basis dimensions are row
   /// counts of the expanded models, far below 2^31.
   using Index = std::int32_t;
 
   /// pivot_row_[k]: row chosen as pivot at elimination step k (a permutation).
   std::vector<std::size_t> pivot_row_;
+  /// step_of_row_[i]: elimination step that pivoted on row i (the inverse).
+  std::vector<Index> step_of_row_;
   /// Basis position eliminated at step k under a fill-reducing preorder
   /// (Options::fill_preorder); EMPTY when the order is the identity, which
   /// the solve paths use as the no-permute fast path.
   std::vector<Index> pos_of_step_;
+  /// Its inverse, step_of_pos_[pos_of_step_[k]] == k; empty alongside it.
+  std::vector<Index> step_of_pos_;
 
   // Column k of L (unit diagonal implicit): multipliers (row, l_ik) for rows
   // not yet pivoted at step k, in original row indices. Stored SoA:
@@ -186,12 +237,24 @@ class BasisLu {
 
   // Eta file, SoA: eta e pivots at position eta_r_[e] with pivot value
   // eta_pivot_[e]; its off-pivot terms live at [eta_start_[e],
-  // eta_start_[e + 1]).
+  // eta_start_[e + 1]), in ascending position order.
   std::vector<std::size_t> eta_start_{0};
   std::vector<Index> eta_r_;
   std::vector<double> eta_pivot_;
   AlignedVector<Index> eta_idx_;
   AlignedVector<double> eta_val_;
+  // The same terms as a sparse bitset, for BTRAN's intersection with its
+  // running support: eta e's nonempty 64-position words are
+  // [eta_word_start_[e], eta_word_start_[e + 1]) of eta_words_. A word's
+  // set bits are its terms' positions; `first` is the eta_idx_ offset of
+  // its lowest, so the term at bit b sits at first + popcount(bits below b).
+  struct EtaWord {
+    std::size_t first = 0;
+    std::uint64_t bits = 0;
+    Index word = 0;
+  };
+  std::vector<std::size_t> eta_word_start_{0};
+  std::vector<EtaWord> eta_words_;
 
   std::size_t factor_nnz_ = 0;
   std::size_t eta_nnz_ = 0;

@@ -73,17 +73,16 @@ bool RevisedSimplex::has_boxed_at_upper() const {
 }
 
 void RevisedSimplex::flip_bound(std::size_t j) {
-  work_.assign(m_, 0.0);
-  A_.scatter_column(j, work_);
-  timed_ftran(work_);
+  const Support& nonzeros = ftran_column(j);
   // Moving the nonbasic value from bound to bound shifts the effective RHS:
   // lower->upper subtracts ub * B^-1 A_j from the basic values.
   const double step = at_upper_[j] ? ub_[j] : -ub_[j];
-  for (std::size_t k = 0; k < m_; ++k) {
-    if (work_[k] == 0.0) continue;
+  for_each_bit(nonzeros, [&](std::size_t k) {
+    if (work_[k] == 0.0) return;
     xb_[k] += step * work_[k];
     if (std::fabs(xb_[k]) < kZeroTol) xb_[k] = 0.0;
-  }
+  });
+  clear_work(nonzeros);
   at_upper_[j] = !at_upper_[j];
 }
 
@@ -212,13 +211,12 @@ SolveStatus RevisedSimplex::dual_optimize(const std::vector<double>& cost,
     for (std::size_t j : flips) flip_bound(j);
 
     // 4. Exchange. The FTRAN-transformed entering column gives the step.
-    work_.assign(m_, 0.0);
-    A_.scatter_column(entering, work_);
-    timed_ftran(work_);
+    const Support& nonzeros = ftran_column(entering);
     if (std::fabs(work_[r]) <= kEps) {
       // Pivot weight vanished under the accumulated eta file: refresh and
       // retry; if even a fresh factorization disagrees with the pricing
       // row, the basis is numerically hopeless — bail to the cold path.
+      clear_work(nonzeros);
       if (lu_->updates() == 0) return SolveStatus::kIterationLimit;
       ok_ = refactor();
       continue;
@@ -227,11 +225,11 @@ SolveStatus RevisedSimplex::dual_optimize(const std::vector<double>& cost,
     const double target = below ? 0.0 : ub_[basis_[r]];
     const double t = (xb_[r] - target) / work_[r];
     const double entering_origin = at_upper_[entering] ? ub_[entering] : 0.0;
-    for (std::size_t k = 0; k < m_; ++k) {
-      if (k == r || work_[k] == 0.0) continue;
+    for_each_bit(nonzeros, [&](std::size_t k) {
+      if (k == r || work_[k] == 0.0) return;
       xb_[k] -= t * work_[k];
       if (std::fabs(xb_[k]) < kZeroTol) xb_[k] = 0.0;
-    }
+    });
     xb_[r] = entering_origin + t;
 
     const std::size_t leaving_col = basis_[r];
@@ -241,9 +239,9 @@ SolveStatus RevisedSimplex::dual_optimize(const std::vector<double>& cost,
     basis_[r] = entering;
     pos_of_col_[entering] = r;
     at_upper_[entering] = false;
-    if (!lu_->update(r, work_) || should_refactor()) {
-      ok_ = refactor();
-    }
+    const bool absorbed = lu_->update(r, work_, nonzeros);
+    clear_work(nonzeros);  // before refactor() reuses the workspace
+    if (!absorbed || should_refactor()) ok_ = refactor();
 
     if (entering_ratio <= kDegenTol) {
       ++degenerate_run;

@@ -126,10 +126,21 @@ std::vector<double> RevisedSimplex::phase2_costs() const {
   return cost;
 }
 
-void RevisedSimplex::timed_ftran(std::vector<double>& x) {
+const Support& RevisedSimplex::ftran_column(std::size_t j) {
+  work_.resize(m_);
+  work_rows_.clear();
+  for (const CscMatrix::Entry* e = A_.col_begin(j); e != A_.col_end(j); ++e) {
+    work_[e->row] = e->value;
+    work_rows_.push_back(e->row);
+  }
   const auto t0 = Clock::now();
-  lu_->ftran(x, lu_ws_);
+  const Support& nonzeros = lu_->ftran(work_, work_rows_, lu_ws_);
   times_.ftran_ns += ns_since(t0);
+  return nonzeros;
+}
+
+void RevisedSimplex::clear_work(const Support& nonzeros) {
+  for_each_bit(nonzeros, [&](std::size_t k) { work_[k] = 0.0; });
 }
 
 void RevisedSimplex::timed_btran(std::vector<double>& x) {
@@ -153,18 +164,17 @@ SolveStatus RevisedSimplex::optimize(const std::vector<double>& cost,
     if (entering == kNone) return SolveStatus::kOptimal;
 
     // Pivot column through the basis inverse.
-    work_.assign(m_, 0.0);
-    A_.scatter_column(entering, work_);
-    timed_ftran(work_);
+    const Support& nonzeros = ftran_column(entering);
 
-    // Ratio test; ties go to the largest pivot (stability), or to the
-    // smallest basic column index under Bland's rule (anti-cycling).
+    // Ratio test over the column's nonzeros in ascending position order;
+    // ties go to the largest pivot (stability), or to the smallest basic
+    // column index under Bland's rule (anti-cycling).
     // A basic artificial (upper bound 0) whose value the step would RAISE
     // blocks at ratio zero: that is how artificials parked at zero by a
     // skipped phase 1 retire lazily instead of drifting positive.
     std::size_t leaving = kNone;
     double best_ratio = 0.0;
-    for (std::size_t k = 0; k < m_; ++k) {
+    for_each_bit(nonzeros, [&](std::size_t k) {
       double ratio;
       if (work_[k] > kEps) {
         ratio = std::max(xb_[k], 0.0) / work_[k];
@@ -175,7 +185,7 @@ SolveStatus RevisedSimplex::optimize(const std::vector<double>& cost,
         // the ratio test.
         ratio = 0.0;
       } else {
-        continue;
+        return;
       }
       if (leaving == kNone || ratio < best_ratio - kTieTol) {
         leaving = k;
@@ -189,15 +199,18 @@ SolveStatus RevisedSimplex::optimize(const std::vector<double>& cost,
           best_ratio = std::min(best_ratio, ratio);
         }
       }
+    });
+    if (leaving == kNone) {
+      clear_work(nonzeros);
+      return SolveStatus::kUnbounded;
     }
-    if (leaving == kNone) return SolveStatus::kUnbounded;
 
     if (std::max(xb_[leaving], 0.0) <= kDegenTol) {
       ++degenerate_run;
     } else {
       degenerate_run = 0;
     }
-    pivot(leaving, entering);
+    pivot(leaving, entering, nonzeros);
     ++iterations;
   }
 }
@@ -230,11 +243,12 @@ void RevisedSimplex::expel_artificials() {
       }
     }
     if (entering == kNone) continue;  // redundant row
-    work_.assign(m_, 0.0);
-    A_.scatter_column(entering, work_);
-    timed_ftran(work_);
-    if (std::fabs(work_[r]) <= kFeasTol) continue;
-    pivot(r, entering);
+    const Support& nonzeros = ftran_column(entering);
+    if (std::fabs(work_[r]) <= kFeasTol) {
+      clear_work(nonzeros);
+      continue;
+    }
+    pivot(r, entering, nonzeros);
   }
 }
 
@@ -539,9 +553,11 @@ void RevisedSimplex::compute_pivot_row(const std::vector<double>& rho) {
   }
 }
 
-void RevisedSimplex::pivot(std::size_t r, std::size_t e) {
+void RevisedSimplex::pivot(std::size_t r, std::size_t e,
+                           const Support& nonzeros) {
   // Applies the basis exchange: position `r` leaves, column `e` enters.
-  // `work_` must hold the FTRAN-transformed entering column.
+  // `work_` must hold the FTRAN-transformed entering column, nonzero only
+  // within `nonzeros`; it is all zero again on return.
   double theta = std::max(xb_[r], 0.0) / work_[r];
   if (std::fabs(xb_[r]) < kEps && is_artificial(basis_[r])) {
     theta = 0.0;  // degenerate expel: the artificial's true value is zero
@@ -553,18 +569,18 @@ void RevisedSimplex::pivot(std::size_t r, std::size_t e) {
     // step is zero.
     theta = 0.0;
   }
-  for (std::size_t k = 0; k < m_; ++k) {
-    if (k == r || work_[k] == 0.0) continue;
+  for_each_bit(nonzeros, [&](std::size_t k) {
+    if (k == r || work_[k] == 0.0) return;
     xb_[k] -= theta * work_[k];
     if (std::fabs(xb_[k]) < kZeroTol) xb_[k] = 0.0;
-  }
+  });
   xb_[r] = theta;
   pos_of_col_[basis_[r]] = kNone;
   basis_[r] = e;
   pos_of_col_[e] = r;
-  if (!lu_->update(r, work_) || should_refactor()) {
-    ok_ = refactor();
-  }
+  const bool absorbed = lu_->update(r, work_, nonzeros);
+  clear_work(nonzeros);  // before refactor() reuses the workspace
+  if (!absorbed || should_refactor()) ok_ = refactor();
 }
 
 bool RevisedSimplex::should_refactor() const {

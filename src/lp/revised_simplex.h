@@ -10,12 +10,16 @@
 //     (Orchard-Hays multiple pricing: a full sweep keeps the most negative
 //     reduced costs, later pivots reprice only that list against fresh
 //     multipliers), with Bland's rule as the automatic degeneracy fallback;
-//   * the pivot column comes from one FTRAN;
+//   * the pivot column comes from one hypersparse FTRAN, and the ratio
+//     test, the basic-value update and the eta append walk only the
+//     positions it returns;
 //   * a pivot appends one eta vector; the basis is refactorized when the
 //     eta-file fill rivals the LU factor fill (see should_refactor()),
 //     which also recomputes the basic values and damps floating-point
 //     drift.
-// Per-iteration cost is O(nnz) instead of the dense tableau's O(m * cols).
+// Per-iteration cost is one dense BTRAN, the pricing scan, and otherwise
+// the nonzeros the pivot touches, instead of the dense tableau's
+// O(m * cols).
 //
 // The constraint matrix is equilibrated at construction (lp/scaling.h,
 // power-of-two geometric-mean factors, exactly undone on extraction) unless
@@ -234,7 +238,7 @@ class RevisedSimplex {
   void compute_pivot_row(const std::vector<double>& rho);
   /// Builds the CSR mirror on first compute_pivot_row use.
   void ensure_row_mirror();
-  void pivot(std::size_t r, std::size_t e);
+  void pivot(std::size_t r, std::size_t e, const Support& nonzeros);
   [[nodiscard]] bool refactor();
   [[nodiscard]] bool should_refactor() const;
 
@@ -242,8 +246,13 @@ class RevisedSimplex {
   /// the basic values (one FTRAN). Dual-loop helper.
   void flip_bound(std::size_t j);
 
-  // Timed kernel wrappers (accumulate into times_).
-  void timed_ftran(std::vector<double>& x);
+  /// work_ = B^-1 A_j (position space) through one timed sparse FTRAN.
+  /// work_ must be all zero on entry; returns the positions where it may
+  /// be nonzero, through which the caller zeroes it again (clear_work)
+  /// before the next FTRAN.
+  const Support& ftran_column(std::size_t j);
+  void clear_work(const Support& nonzeros);
+  /// Timed BTRAN (accumulates into times_).
   void timed_btran(std::vector<double>& x);
 
   const ExpandedModel& em_;
@@ -266,7 +275,8 @@ class RevisedSimplex {
   bool ok_ = false;
   bool equilibrate_ = true;  // whether appended columns get scaled too
   std::vector<double> y_;     // simplex multipliers, row space
-  std::vector<double> work_;  // FTRAN scratch
+  std::vector<double> work_;  // FTRAN'd column; all zero between pivots
+  std::vector<std::size_t> work_rows_;  // nonzero rows of its column
   std::vector<double> rho_;   // BTRAN scratch (pricing row / expel / dual)
   BasisLu::Workspace lu_ws_;  // caller-owned FTRAN/BTRAN workspace
   // Equilibration state: scaled value = original * row_scale * col_scale;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <ostream>
 #include <stdexcept>
 
@@ -368,7 +369,17 @@ BigInt& BigInt::operator%=(const BigInt& rhs) {
 BigInt BigInt::gcd(BigInt a, BigInt b) {
   a.negative_ = false;
   b.negative_ = false;
+  const auto low_word = [](const BigInt& v) {
+    std::uint64_t w = v.limbs_.empty() ? 0 : v.limbs_[0];
+    if (v.limbs_.size() > 1) w |= static_cast<std::uint64_t>(v.limbs_[1]) << 32;
+    return w;
+  };
   while (!b.is_zero()) {
+    // Once both operands fit one machine word, finish Euclid on it: the
+    // same exact value without a BigInt divmod per step.
+    if (a.limbs_.size() <= 2 && b.limbs_.size() <= 2) {
+      return BigInt(std::gcd(low_word(a), low_word(b)));
+    }
     BigInt r = a % b;
     a = std::move(b);
     b = std::move(r);

@@ -7,7 +7,8 @@
 // solutions, Sec. 3.1/4.2). This module provides the minimal but complete
 // integer kernel for that: sign-magnitude representation on 32-bit limbs,
 // schoolbook multiplication (operand sizes stay modest in practice), Knuth
-// algorithm-D division, Euclidean gcd, and decimal I/O.
+// algorithm-D division, Euclidean gcd (finishing on machine words once both
+// operands fit 64 bits), and decimal I/O.
 //
 // Invariants:
 //  * limbs_ is little-endian, base 2^32, with no trailing zero limb;

@@ -347,6 +347,29 @@ TEST(ThreadedExecTest, CountOverflowIsATypedFaultOnBothBackends) {
   }
 }
 
+TEST(ThreadedExecTest, WorkerExceptionIsATypedFault) {
+  if (sanitized_build()) {
+    GTEST_SKIP() << "sanitizer allocators abort on a 2^62-byte request "
+                    "instead of throwing std::bad_alloc";
+  }
+  const auto inst = platform::fig2_toy();
+  const auto plan = core::optimize_scatter(inst);
+  ExecProgram program =
+      exec::compile_flow_program(inst.platform, plan.flow, plan.schedule);
+  ASSERT_FALSE(program.transfers.empty());
+  ASSERT_FALSE(program.transfers.front().chunks.empty());
+  // The payload of this chunk cannot be allocated: the resize throws
+  // std::bad_alloc on a worker thread, outside the scheduler lock.
+  program.transfers.front().chunks.front().bytes = std::uint64_t{1} << 62;
+  ExecOptions opt = quick_options();
+  opt.workers = 2;
+  const ExecReport report = exec::execute(program, opt);
+  EXPECT_EQ(report.fault.code, exec::FaultCode::kWorkerException)
+      << report.fault.to_string();
+  EXPECT_STREQ(exec::fault_code_name(report.fault.code), "worker-exception");
+  EXPECT_FALSE(report.ok());
+}
+
 TEST(ThreadedExecTest, RejectsScheduleThatFailsStaticOneportCheck) {
   const auto inst = platform::fig2_toy();
   auto plan = core::optimize_scatter(inst);

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <optional>
 #include <random>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -28,6 +29,13 @@ CscMatrix from_dense(const std::vector<std::vector<double>>& columns) {
     m.end_column();
   }
   return m;
+}
+
+/// Every position of an n-vector: a valid support for any hand-built w.
+Support all_positions(std::size_t n) {
+  Support bits((n + 63) / 64, 0);
+  for (std::size_t k = 0; k < n; ++k) bits[k / 64] |= std::uint64_t{1} << (k % 64);
+  return bits;
 }
 
 std::vector<std::size_t> identity_selection(std::size_t n) {
@@ -135,8 +143,9 @@ TEST(BasisLu, EtaUpdateMatchesFreshFactorization) {
   // w = B^-1 a for the entering column.
   std::vector<double> w(3, 0.0);
   m.scatter_column(3, w);
-  lu->ftran(w);
-  ASSERT_TRUE(lu->update(1, w));
+  BasisLu::Workspace ws;
+  const Support nonzeros = lu->ftran(w, ws);
+  ASSERT_TRUE(lu->update(1, w, nonzeros));
   EXPECT_EQ(lu->updates(), 1u);
 
   auto fresh = BasisLu::factor(m, {0, 3, 2});
@@ -160,7 +169,7 @@ TEST(BasisLu, UpdateRejectsTinyPivot) {
   auto lu = BasisLu::factor(m, identity_selection(3));
   ASSERT_TRUE(lu.has_value());
   std::vector<double> w = {1.0, 1e-14, 3.0};  // pivot at position 1 is ~0
-  EXPECT_FALSE(lu->update(1, w));
+  EXPECT_FALSE(lu->update(1, w, all_positions(3)));
   EXPECT_EQ(lu->updates(), 0u);
 }
 
@@ -185,10 +194,10 @@ TEST(BasisLu, FillAccountingDrivesAdaptiveRefactorization) {
   EXPECT_EQ(lu->eta_nonzeros(), 0u);
 
   std::vector<double> w = {1.0, 2.0, 0.0};  // two nonzeros: pivot + 1 term
-  ASSERT_TRUE(lu->update(0, w));
+  ASSERT_TRUE(lu->update(0, w, all_positions(3)));
   EXPECT_EQ(lu->eta_nonzeros(), 2u);
   std::vector<double> w2 = {0.5, 1.5, 2.5};
-  ASSERT_TRUE(lu->update(2, w2));
+  ASSERT_TRUE(lu->update(2, w2, all_positions(3)));
   EXPECT_EQ(lu->eta_nonzeros(), 5u);
 }
 
@@ -442,8 +451,9 @@ TEST(BasisLu, AppendIdentityRowMatchesFreshBlockDiagFactor) {
   ASSERT_TRUE(lu.has_value());
   std::vector<double> w(3, 0.0);
   m3.scatter_column(3, w);
-  lu->ftran(w);
-  ASSERT_TRUE(lu->update(1, w));
+  BasisLu::Workspace ws;
+  const Support nonzeros = lu->ftran(w, ws);
+  ASSERT_TRUE(lu->update(1, w, nonzeros));
   const std::size_t appended = lu->append_identity_row();
   EXPECT_EQ(appended, 3u);
   EXPECT_EQ(lu->dim(), 4u);
@@ -456,7 +466,7 @@ TEST(BasisLu, AppendIdentityRowMatchesFreshBlockDiagFactor) {
   auto fresh = BasisLu::factor(from_dense(ext), identity_selection(4));
   ASSERT_TRUE(fresh.has_value());
   std::vector<double> w4 = {w[0], w[1], w[2], 0.0};
-  ASSERT_TRUE(fresh->update(1, w4));
+  ASSERT_TRUE(fresh->update(1, w4, all_positions(4)));
   EXPECT_EQ(lu->factor_nonzeros(), fresh->factor_nonzeros());
 
   const std::vector<double> rhs = {0.5, -1.0, 2.0, 3.0};
@@ -510,6 +520,259 @@ TEST(BasisLu, ConcurrentSolvesWithOwnWorkspacesAgree) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(mismatches[t], 0) << "thread " << t;
   }
+}
+
+}  // namespace
+
+// --- Hypersparse kernels vs the dense loops. -------------------------------
+//
+// ftran, btran and update skip a floating-point operation only where an
+// operand is exactly zero, so on every factorization and eta file their
+// results must equal the dense loops below entry for entry (== lets the
+// sign of a zero differ), ftran's returned support must cover every
+// nonzero, and update must append exactly the eta terms a dense scan of w
+// keeps, in ascending position order. The loops are BasisLu's solves as
+// they were before the hypersparse kernels.
+
+struct BasisLuTestAccess {
+  using Index = BasisLu::Index;
+
+  static void dense_ftran(const BasisLu& lu, std::vector<double>& x) {
+    const std::size_t m = lu.dim();
+    for (std::size_t k = 0; k < m; ++k) {
+      const double xp = x[lu.pivot_row_[k]];
+      if (xp == 0.0) continue;
+      for (std::size_t t = lu.l_start_[k]; t < lu.l_start_[k + 1]; ++t) {
+        x[static_cast<std::size_t>(lu.l_idx_[t])] -= lu.l_val_[t] * xp;
+      }
+    }
+    std::vector<double> y(m);
+    for (std::size_t k = 0; k < m; ++k) y[k] = x[lu.pivot_row_[k]];
+    for (std::size_t k = m; k-- > 0;) {
+      const double t = y[k] / lu.diag_[k];
+      y[k] = t;
+      if (t == 0.0) continue;
+      for (std::size_t tt = lu.u_start_[k]; tt < lu.u_start_[k + 1]; ++tt) {
+        y[static_cast<std::size_t>(lu.u_idx_[tt])] -= lu.u_val_[tt] * t;
+      }
+    }
+    if (lu.pos_of_step_.empty()) {
+      x.swap(y);
+    } else {
+      for (std::size_t k = 0; k < m; ++k) {
+        x[static_cast<std::size_t>(lu.pos_of_step_[k])] = y[k];
+      }
+    }
+    for (std::size_t e = 0; e < lu.eta_r_.size(); ++e) {
+      const auto r = static_cast<std::size_t>(lu.eta_r_[e]);
+      const double t = x[r] / lu.eta_pivot_[e];
+      x[r] = t;
+      if (t == 0.0) continue;
+      for (std::size_t tt = lu.eta_start_[e]; tt < lu.eta_start_[e + 1];
+           ++tt) {
+        x[static_cast<std::size_t>(lu.eta_idx_[tt])] -= lu.eta_val_[tt] * t;
+      }
+    }
+  }
+
+  static void dense_btran(const BasisLu& lu, std::vector<double>& x) {
+    const std::size_t m = lu.dim();
+    for (std::size_t e = lu.eta_r_.size(); e-- > 0;) {
+      double t = x[static_cast<std::size_t>(lu.eta_r_[e])];
+      for (std::size_t tt = lu.eta_start_[e]; tt < lu.eta_start_[e + 1];
+           ++tt) {
+        t -= lu.eta_val_[tt] * x[static_cast<std::size_t>(lu.eta_idx_[tt])];
+      }
+      x[static_cast<std::size_t>(lu.eta_r_[e])] = t / lu.eta_pivot_[e];
+    }
+    std::vector<double> w = x;
+    if (!lu.pos_of_step_.empty()) {
+      for (std::size_t k = 0; k < m; ++k) {
+        w[k] = x[static_cast<std::size_t>(lu.pos_of_step_[k])];
+      }
+    }
+    for (std::size_t k = 0; k < m; ++k) {
+      const double t = w[k];
+      if (t == 0.0) continue;
+      const double wk = t / lu.diag_[k];
+      w[k] = wk;
+      for (std::size_t tt = lu.ur_start_[k]; tt < lu.ur_start_[k + 1]; ++tt) {
+        w[static_cast<std::size_t>(lu.ur_idx_[tt])] -= lu.ur_val_[tt] * wk;
+      }
+    }
+    std::vector<double> y(m, 0.0);
+    for (std::size_t k = 0; k < m; ++k) y[lu.pivot_row_[k]] = w[k];
+    for (std::size_t k = m; k-- > 0;) {
+      const std::size_t row = lu.pivot_row_[k];
+      const double z = y[row];
+      if (z == 0.0) continue;
+      for (std::size_t tt = lu.lt_start_[row]; tt < lu.lt_start_[row + 1];
+           ++tt) {
+        y[static_cast<std::size_t>(lu.lt_idx_[tt])] -= lu.lt_val_[tt] * z;
+      }
+    }
+    x.swap(y);
+  }
+
+  /// The newest eta's off-pivot terms as (position, value).
+  static std::vector<std::pair<std::size_t, double>> last_eta(
+      const BasisLu& lu) {
+    std::vector<std::pair<std::size_t, double>> terms;
+    const std::size_t e = lu.eta_r_.size() - 1;
+    for (std::size_t tt = lu.eta_start_[e]; tt < lu.eta_start_[e + 1]; ++tt) {
+      terms.emplace_back(static_cast<std::size_t>(lu.eta_idx_[tt]),
+                         lu.eta_val_[tt]);
+    }
+    return terms;
+  }
+};
+
+namespace {
+
+bool in_support(const Support& bits, std::size_t k) {
+  return k / 64 < bits.size() && ((bits[k / 64] >> (k % 64)) & 1) != 0;
+}
+
+/// Random sparse right-hand side: `count` nonzeros (all of them when
+/// count >= m), with their rows.
+std::vector<double> sparse_rhs(std::mt19937_64& rng, std::size_t m,
+                               std::size_t count,
+                               std::vector<std::size_t>& rows) {
+  std::uniform_real_distribution<double> val(-3.0, 3.0);
+  std::vector<double> b(m, 0.0);
+  rows.clear();
+  for (std::size_t t = 0; t < std::min(count, m); ++t) {
+    const std::size_t i = count >= m ? t : rng() % m;
+    if (b[i] == 0.0) rows.push_back(i);
+    b[i] = val(rng);
+  }
+  return b;
+}
+
+/// Sparse ftran vs the dense loops on one right-hand side; returns the
+/// solution and copies ftran's support into `support`.
+std::vector<double> check_ftran(const BasisLu& lu, BasisLu::Workspace& ws,
+                                const std::vector<double>& b,
+                                const std::vector<std::size_t>& rows,
+                                Support& support) {
+  std::vector<double> x = b, ref = b;
+  support = lu.ftran(x, rows, ws);
+  BasisLuTestAccess::dense_ftran(lu, ref);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(x[i], ref[i]) << "ftran position " << i;
+    if (x[i] != 0.0) {
+      EXPECT_TRUE(in_support(support, i)) << "ftran support misses " << i;
+    }
+  }
+  return x;
+}
+
+void check_btran(const BasisLu& lu, BasisLu::Workspace& ws,
+                 const std::vector<double>& c) {
+  std::vector<double> y = c, ref = c;
+  lu.btran(y, ws);
+  BasisLuTestAccess::dense_btran(lu, ref);
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    EXPECT_EQ(y[i], ref[i]) << "btran row " << i;
+  }
+}
+
+TEST(BasisLu, HypersparseKernelsMatchDenseLoopsUnderEtasAndAppends) {
+  std::size_t pivots = 0, appends = 0;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    for (const bool preorder : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (preorder ? " fill_preorder" : " position order"));
+      std::mt19937_64 rng(seed * 104729 + (preorder ? 7 : 0));
+      std::uniform_real_distribution<double> val(0.5, 4.0);
+      std::size_t m = 8 + (seed * 37) % 190;
+      // Slack identity, then structural columns with a diagonal entry plus
+      // up to three off-diagonal ones: network-like, nearly triangular.
+      CscMatrix A(m);
+      for (std::size_t i = 0; i < m; ++i) {
+        A.push_entry(i, 1.0);
+        A.end_column();
+      }
+      const auto add_structural = [&](std::size_t diag_row) {
+        std::vector<CscMatrix::Entry> col = {
+            {diag_row, (rng() % 2 ? 1.0 : -1.0) * val(rng)}};
+        for (std::size_t t = rng() % 4; t-- > 0;) {
+          const std::size_t i = rng() % m;
+          bool dup = false;
+          for (const auto& e : col) dup = dup || e.row == i;
+          if (!dup) col.push_back({i, (rng() % 2 ? 1.0 : -1.0) * val(rng)});
+        }
+        return A.add_column(col);
+      };
+      for (std::size_t i = 0; i < 2 * m; ++i) add_structural(i % m);
+      std::vector<std::size_t> basis(m);
+      for (std::size_t k = 0; k < m; ++k) {
+        basis[k] = rng() % 3 == 0 ? k : m + k;  // slack or structural
+      }
+      if (seed % 2 == 1) std::shuffle(basis.begin(), basis.end(), rng);
+      BasisLu::Options options;
+      options.fill_preorder = preorder;
+      auto lu = BasisLu::factor(A, basis, options);
+      if (!lu) continue;
+
+      BasisLu::Workspace ws;  // shared by every call, as in the engines
+      std::vector<std::size_t> rows;
+      Support support;
+      for (int round = 0; round < 40; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        if (rng() % 8 == 0) {
+          // Row generation: a new identity row, plus columns touching it.
+          A.add_rows(1);
+          A.push_entry(m, 1.0);
+          basis.push_back(A.end_column());
+          ASSERT_EQ(lu->append_identity_row(), m);
+          ++m;
+          add_structural(m - 1);
+          add_structural(rng() % m);
+          ++appends;
+        } else {
+          // Basis exchange: ftran a nonbasic column, pivot on its largest
+          // entry, check the appended eta terms.
+          const std::size_t j = rng() % A.num_cols();
+          if (std::find(basis.begin(), basis.end(), j) != basis.end()) {
+            continue;
+          }
+          std::vector<double> a(m, 0.0);
+          rows.clear();
+          for (const auto* e = A.col_begin(j); e != A.col_end(j); ++e) {
+            a[e->row] = e->value;
+            rows.push_back(e->row);
+          }
+          const std::vector<double> w = check_ftran(*lu, ws, a, rows, support);
+          std::size_t r = 0;
+          for (std::size_t i = 1; i < m; ++i) {
+            if (std::fabs(w[i]) > std::fabs(w[r])) r = i;
+          }
+          if (std::fabs(w[r]) < 1e-3) continue;
+          std::vector<std::pair<std::size_t, double>> expected;
+          for (std::size_t i = 0; i < m; ++i) {
+            if (i != r && std::fabs(w[i]) > BasisLu::kDropTolerance) {
+              expected.emplace_back(i, w[i]);
+            }
+          }
+          ASSERT_TRUE(lu->update(r, w, support));
+          EXPECT_EQ(BasisLuTestAccess::last_eta(*lu), expected);
+          basis[r] = j;
+          ++pivots;
+        }
+        // Solves against the current factors + eta file: sparse (the
+        // simplex's a_q and e_r) and dense right-hand sides.
+        for (const std::size_t count : {std::size_t{1}, std::size_t{3}, m}) {
+          const std::vector<double> b = sparse_rhs(rng, m, count, rows);
+          check_ftran(*lu, ws, b, rows, support);
+          check_btran(*lu, ws, sparse_rhs(rng, m, count, rows));
+        }
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_GE(pivots, 800u);
+  EXPECT_GE(appends, 100u);
 }
 
 }  // namespace

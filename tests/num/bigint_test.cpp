@@ -4,6 +4,11 @@
 
 #include <cstdint>
 #include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "num/rational.h"
 
 namespace ssco::num {
 namespace {
@@ -154,6 +159,67 @@ TEST(BigInt, GcdLcm) {
   EXPECT_EQ(BigInt::lcm(BigInt(4), BigInt(6)), BigInt(12));
   EXPECT_EQ(BigInt::lcm(BigInt(0), BigInt(6)), BigInt(0));
   EXPECT_EQ(BigInt::lcm(BigInt(-4), BigInt(6)), BigInt(12));
+}
+
+// gcd finishes on machine words once both operands fit 64 bits. Check it,
+// lcm and Rational normalization against a Euclid on unsigned __int128 at
+// the limb and word boundaries and on mixed 1- to 4-limb operands.
+using u128 = unsigned __int128;
+
+u128 gcd_u128(u128 a, u128 b) {
+  while (b != 0) {
+    const u128 r = a % b;
+    a = b;
+    b = r;
+  }
+  return a;
+}
+
+BigInt big_of(u128 v) {
+  return BigInt(static_cast<std::uint64_t>(v >> 64)) *
+             BigInt::pow(BigInt(2), 64) +
+         BigInt(static_cast<std::uint64_t>(v));
+}
+
+std::string u128_text(u128 v) {
+  if (v == 0) return "0";
+  std::string s;
+  for (; v != 0; v /= 10) s.insert(s.begin(), static_cast<char>('0' + v % 10));
+  return s;
+}
+
+TEST(BigInt, GcdLcmAndNormalizationMatchInt128Reference) {
+  const u128 one = 1;
+  std::vector<u128> values = {1, 2, 3, 6, 1000000007};
+  for (const int bits : {31, 32, 63, 64, 95, 96, 127}) {
+    values.push_back((one << bits) - 1);
+    values.push_back(one << bits);
+    values.push_back((one << bits) + 1);
+  }
+  values.push_back(~u128{0} >> 64);  // 2^64 - 1
+  // Mixed limb counts sharing factors, so the gcd is nontrivial and the
+  // Euclid chain crosses from multi-limb into one word midway.
+  std::mt19937_64 rng(20260417);
+  for (int i = 0; i < 40; ++i) {
+    const u128 common = (rng() >> (rng() % 64)) | 1;
+    const u128 cofactor = static_cast<u128>(rng() >> (rng() % 64)) + 1;
+    values.push_back(common * cofactor);
+  }
+  for (const u128 a : values) {
+    for (const u128 b : values) {
+      SCOPED_TRACE("a=" + u128_text(a) + " b=" + u128_text(b));
+      const u128 g = gcd_u128(a, b);
+      const BigInt ba = big_of(a), bb = big_of(b);
+      ASSERT_EQ(ba.to_string(), u128_text(a));
+      EXPECT_EQ(BigInt::gcd(ba, bb), big_of(g));
+      EXPECT_EQ(BigInt::gcd(-ba, bb), big_of(g));
+      EXPECT_EQ(BigInt::gcd(ba, BigInt(0)), big_of(a));
+      EXPECT_EQ(BigInt::lcm(ba, -bb), big_of(a / g) * bb);
+      const Rational r(-ba, bb);
+      EXPECT_EQ(r.num(), -big_of(a / g));
+      EXPECT_EQ(r.den(), big_of(b / g));
+    }
+  }
 }
 
 TEST(BigInt, Pow) {

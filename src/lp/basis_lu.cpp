@@ -419,11 +419,12 @@ const Support& BasisLu::ftran(std::vector<double>& x, Workspace& ws) const {
   return ftran(x, ws.rows, ws);
 }
 
-// Every loop below visits exactly the steps (positions) the dense loops
-// found nonzero, in the same order, and skips a floating-point operation
-// only when an operand is exactly zero. The results therefore match the
-// dense loops bit for bit, except that an entry the dense U pass left as
-// 0.0 / d carries d's sign there and +0.0 here.
+// Every loop below visits the steps (positions) that can hold a nonzero in
+// the order a dense sweep over all of them would, and skips a
+// floating-point operation only when an operand is exactly zero. The
+// results therefore match such a sweep (the reference loops in
+// tests/lp/basis_lu_test.cpp) bit for bit, except for the sign of zeros:
+// the sweep leaves 0.0 / d, carrying d's sign, where this leaves +0.0.
 const Support& BasisLu::ftran(std::vector<double>& x,
                               std::span<const std::size_t> rows,
                               Workspace& ws) const {
@@ -540,7 +541,7 @@ void BasisLu::btran(std::vector<double>& x, Workspace& ws) const {
   // Transposed eta file, newest first: each eta contributes a gather dot
   // product over the terms where the running vector is nonzero — the
   // intersection of the eta's word bitset with `live`, walked in ascending
-  // position, i.e. the dense loop's term order minus its zero terms.
+  // position, i.e. the eta's term order minus the terms that multiply a zero.
   // Accumulation stays in strict term order — NOT unrolled into
   // independent accumulators — because reassociating it perturbs the pivot
   // path and thereby which optimal VERTEX degenerate models land on;

@@ -25,8 +25,9 @@
 // eta entries at positions where the running vector is nonzero; its U' and
 // L' passes stay dense loops, because the multipliers end mostly dense.
 // Both skip a floating-point operation only when an operand is exactly
-// zero, so every nonzero result is bit-identical to the dense loops'; only
-// the sign of a zero can differ.
+// zero and keep every other one in the order a dense sweep over all steps
+// and terms would, so every nonzero result is bit-identical to that sweep's;
+// only the sign of a zero can differ.
 //
 // Storage is structure-of-arrays: every factor (L and U by column, their
 // transposed mirrors by row, the eta file) lives in one flat arena of

@@ -128,11 +128,7 @@ std::vector<double> RevisedSimplex::phase2_costs() const {
 
 const Support& RevisedSimplex::ftran_column(std::size_t j) {
   work_.resize(m_);
-  work_rows_.clear();
-  for (const CscMatrix::Entry* e = A_.col_begin(j); e != A_.col_end(j); ++e) {
-    work_[e->row] = e->value;
-    work_rows_.push_back(e->row);
-  }
+  A_.scatter_column(j, work_, work_rows_);
   const auto t0 = Clock::now();
   const Support& nonzeros = lu_->ftran(work_, work_rows_, lu_ws_);
   times_.ftran_ns += ns_since(t0);

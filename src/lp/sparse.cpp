@@ -16,9 +16,12 @@ double CscMatrix::dot_column(std::size_t j, const std::vector<double>& x) const 
   return acc;
 }
 
-void CscMatrix::scatter_column(std::size_t j, std::vector<double>& x) const {
+void CscMatrix::scatter_column(std::size_t j, std::vector<double>& x,
+                               std::vector<std::size_t>& rows) const {
+  rows.clear();
   for (const Entry* e = col_begin(j); e != col_end(j); ++e) {
     x[e->row] = e->value;
+    rows.push_back(e->row);
   }
 }
 

@@ -70,8 +70,11 @@ class CscMatrix {
   [[nodiscard]] double dot_column(std::size_t j,
                                   const std::vector<double>& x) const;
 
-  /// Writes column j into a dense vector; `x` must be zeroed beforehand.
-  void scatter_column(std::size_t j, std::vector<double>& x) const;
+  /// Writes column j into a dense vector, which must be zeroed beforehand,
+  /// and replaces `rows` with the column's rows: the nonzero pattern a
+  /// sparse FTRAN (BasisLu::ftran) takes with it.
+  void scatter_column(std::size_t j, std::vector<double>& x,
+                      std::vector<std::size_t>& rows) const;
 
   /// x += scale * column j (dense accumulate).
   void add_scaled_column(std::size_t j, double scale,

@@ -142,9 +142,10 @@ TEST(BasisLu, EtaUpdateMatchesFreshFactorization) {
   ASSERT_TRUE(lu.has_value());
   // w = B^-1 a for the entering column.
   std::vector<double> w(3, 0.0);
-  m.scatter_column(3, w);
+  std::vector<std::size_t> rows;
+  m.scatter_column(3, w, rows);
   BasisLu::Workspace ws;
-  const Support nonzeros = lu->ftran(w, ws);
+  const Support nonzeros = lu->ftran(w, rows, ws);
   ASSERT_TRUE(lu->update(1, w, nonzeros));
   EXPECT_EQ(lu->updates(), 1u);
 
@@ -450,9 +451,10 @@ TEST(BasisLu, AppendIdentityRowMatchesFreshBlockDiagFactor) {
   auto lu = BasisLu::factor(m3, identity_selection(3));
   ASSERT_TRUE(lu.has_value());
   std::vector<double> w(3, 0.0);
-  m3.scatter_column(3, w);
+  std::vector<std::size_t> rows;
+  m3.scatter_column(3, w, rows);
   BasisLu::Workspace ws;
-  const Support nonzeros = lu->ftran(w, ws);
+  const Support nonzeros = lu->ftran(w, rows, ws);
   ASSERT_TRUE(lu->update(1, w, nonzeros));
   const std::size_t appended = lu->append_identity_row();
   EXPECT_EQ(appended, 3u);
@@ -738,11 +740,7 @@ TEST(BasisLu, HypersparseKernelsMatchDenseLoopsUnderEtasAndAppends) {
             continue;
           }
           std::vector<double> a(m, 0.0);
-          rows.clear();
-          for (const auto* e = A.col_begin(j); e != A.col_end(j); ++e) {
-            a[e->row] = e->value;
-            rows.push_back(e->row);
-          }
+          A.scatter_column(j, a, rows);
           const std::vector<double> w = check_ftran(*lu, ws, a, rows, support);
           std::size_t r = 0;
           for (std::size_t i = 1; i < m; ++i) {

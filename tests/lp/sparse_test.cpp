@@ -47,10 +47,12 @@ TEST(CscMatrix, ScatterColumn) {
   CscMatrix m(3);
   m.add_column({{1, 7.0}});
   std::vector<double> x(3, 0.0);
-  m.scatter_column(0, x);
+  std::vector<std::size_t> rows = {2};
+  m.scatter_column(0, x, rows);
   EXPECT_DOUBLE_EQ(x[0], 0.0);
   EXPECT_DOUBLE_EQ(x[1], 7.0);
   EXPECT_DOUBLE_EQ(x[2], 0.0);
+  EXPECT_EQ(rows, std::vector<std::size_t>{1});
 }
 
 }  // namespace

@@ -533,8 +533,8 @@ TEST(BasisLu, ConcurrentSolvesWithOwnWorkspacesAgree) {
 // results must equal the dense loops below entry for entry (== lets the
 // sign of a zero differ), ftran's returned support must cover every
 // nonzero, and update must append exactly the eta terms a dense scan of w
-// keeps, in ascending position order. The loops are BasisLu's solves as
-// they were before the hypersparse kernels.
+// keeps, in ascending position order. The reference loops sweep every step
+// and every eta term in order, touching zeros too.
 
 struct BasisLuTestAccess {
   using Index = BasisLu::Index;

@@ -11,7 +11,7 @@
 #include "io/report.h"
 #include "platform/paper_instances.h"
 #include "sim/oneport_check.h"
-#include "sim/scatter_sim.h"
+#include "sim/fluid_sim.h"
 
 using namespace ssco;
 using num::Rational;
@@ -29,7 +29,7 @@ void describe(const char* title, const platform::ScatterInstance& inst,
   std::string err =
       sim::check_oneport(sched, inst.platform, {inst.message_size});
   std::cout << "  one-port check: " << (err.empty() ? "PASS" : err) << "\n";
-  auto result = sim::simulate_flow_schedule(inst.platform, flow, sched, 24);
+  auto result = sim::simulate_schedule(inst.platform, sched, 24);
   std::cout << "  simulated 24 periods: completed "
             << io::pretty(result.completed_operations) << " ops in "
             << result.horizon << " time units (optimal bound "
@@ -64,7 +64,7 @@ int main() {
   split.scale(Rational(12) / split.period);
   describe("(a) split messages allowed, period 12:", inst, flow, split);
 
-  core::ScatterScheduleOptions nosplit;
+  core::ScheduleOptions nosplit;
   nosplit.allow_split_messages = false;
   core::PeriodicSchedule whole =
       core::build_flow_schedule(inst.platform, flow, nosplit);

@@ -17,7 +17,7 @@
 #include "io/table.h"
 #include "platform/paper_instances.h"
 #include "sim/oneport_check.h"
-#include "sim/reduce_sim.h"
+#include "sim/fluid_sim.h"
 
 using namespace ssco;
 using num::Rational;
@@ -79,7 +79,7 @@ int main() {
   std::cout << "\nPipelined timeline (Fig. 6(e) analogue):\n"
             << sched.to_string();
 
-  auto result = sim::simulate_reduce_schedule(inst, sched, 30);
+  auto result = sim::simulate_schedule(inst.platform, sched, 30);
   std::cout << "\nSimulated 30 periods: " << io::pretty(
                    result.completed_operations)
             << " reductions in " << result.horizon

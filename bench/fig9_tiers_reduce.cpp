@@ -21,7 +21,7 @@
 #include "io/table.h"
 #include "platform/paper_instances.h"
 #include "sim/oneport_check.h"
-#include "sim/reduce_sim.h"
+#include "sim/fluid_sim.h"
 
 using namespace ssco;
 using num::Rational;
@@ -90,7 +90,7 @@ int main() {
                     ? "PASS"
                     : "FAIL")
             << "\n";
-  auto result = sim::simulate_reduce_schedule(inst, sched, 50);
+  auto result = sim::simulate_schedule(inst.platform, sched, 50);
   Rational last_rate =
       (result.completed_by_period.back() -
        result.completed_by_period[result.completed_by_period.size() - 2]) /

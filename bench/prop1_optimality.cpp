@@ -13,8 +13,7 @@
 #include "io/report.h"
 #include "io/table.h"
 #include "platform/paper_instances.h"
-#include "sim/reduce_sim.h"
-#include "sim/scatter_sim.h"
+#include "sim/fluid_sim.h"
 
 using namespace ssco;
 using num::Rational;
@@ -30,7 +29,7 @@ void scatter_series(const char* name, const platform::ScatterInstance& inst) {
             << ", period = " << sched.period << ")\n";
   io::Table t({"periods", "time K", "completed", "TP*K", "ratio"});
   for (std::size_t periods : kHorizons) {
-    auto r = sim::simulate_flow_schedule(inst.platform, flow, sched, periods);
+    auto r = sim::simulate_schedule(inst.platform, sched, periods);
     Rational bound = flow.throughput * r.horizon;
     t.add_row({std::to_string(periods), r.horizon.to_string(),
                io::pretty(r.completed_operations, 2),
@@ -49,7 +48,7 @@ void reduce_series(const char* name, const platform::ReduceInstance& inst) {
             << ", period = " << sched.period << ")\n";
   io::Table t({"periods", "completed", "TP*K", "ratio"});
   for (std::size_t periods : kHorizons) {
-    auto r = sim::simulate_reduce_schedule(inst, sched, periods);
+    auto r = sim::simulate_schedule(inst.platform, sched, periods);
     Rational bound = sol.throughput * r.horizon;
     t.add_row({std::to_string(periods),
                io::pretty(r.completed_operations, 2), io::pretty(bound, 2),

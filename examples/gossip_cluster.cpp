@@ -17,7 +17,7 @@
 #include "io/table.h"
 #include "platform/platform.h"
 #include "sim/oneport_check.h"
-#include "sim/scatter_sim.h"
+#include "sim/fluid_sim.h"
 
 using namespace ssco;
 using num::Rational;
@@ -76,7 +76,7 @@ int main() {
             << (sim::check_oneport(sched, inst.platform, {}).empty() ? "PASS"
                                                                      : "FAIL")
             << "\n";
-  auto result = sim::simulate_flow_schedule(inst.platform, flow, sched, 30);
+  auto result = sim::simulate_schedule(inst.platform, sched, 30);
   std::cout << "Simulated 30 periods: " << io::pretty(
                    result.completed_operations)
             << " complete all-to-all rounds (bound "

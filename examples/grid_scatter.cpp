@@ -15,7 +15,7 @@
 #include "io/table.h"
 #include "platform/platform.h"
 #include "sim/oneport_check.h"
-#include "sim/scatter_sim.h"
+#include "sim/fluid_sim.h"
 
 using namespace ssco;
 using num::Rational;
@@ -72,7 +72,7 @@ int main() {
             << (sim::check_oneport(sched, inst.platform, {}).empty() ? "PASS"
                                                                      : "FAIL")
             << "\n";
-  auto result = sim::simulate_flow_schedule(inst.platform, flow, sched, 25);
+  auto result = sim::simulate_schedule(inst.platform, sched, 25);
   std::cout << "Simulated 25 periods: " << io::pretty(
                    result.completed_operations)
             << " complete dispatch rounds (bound "

@@ -14,7 +14,7 @@
 #include "platform/paper_instances.h"
 #include "platform/platform.h"
 #include "sim/oneport_check.h"
-#include "sim/scatter_sim.h"
+#include "sim/fluid_sim.h"
 
 using namespace ssco;
 using num::Rational;
@@ -69,7 +69,7 @@ int main() {
                     : "FAIL")
             << "\n";
 
-  auto sim = sim::simulate_flow_schedule(instance.platform, flow, schedule, 20);
+  auto sim = sim::simulate_schedule(instance.platform, schedule, 20);
   std::cout << "\nAfter 20 periods (" << sim.horizon << " time units): "
             << sim.completed_operations << " complete scatters, steady state "
             << (sim.steady_state_reached ? "reached" : "not reached") << "\n";

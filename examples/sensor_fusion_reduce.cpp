@@ -21,7 +21,7 @@
 #include "io/table.h"
 #include "platform/platform.h"
 #include "sim/oneport_check.h"
-#include "sim/reduce_sim.h"
+#include "sim/fluid_sim.h"
 
 using namespace ssco;
 using num::Rational;
@@ -110,7 +110,7 @@ int main() {
                     : "FAIL")
             << "\n";
 
-  auto result = sim::simulate_reduce_schedule(inst, sched, 40);
+  auto result = sim::simulate_schedule(inst.platform, sched, 40);
   std::cout << "Simulated 40 periods: " << io::pretty(
                    result.completed_operations)
             << " fusions (fluid bound "

@@ -4,7 +4,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "core/edge_coloring.h"
 #include "core/integralize.h"
 
 namespace ssco::core {
@@ -12,14 +11,20 @@ namespace ssco::core {
 PeriodicSchedule build_reduce_schedule(
     const platform::ReduceInstance& instance,
     const TreeDecomposition& decomposition,
-    const ReduceScheduleOptions& options) {
-  const auto& graph = instance.platform.graph();
+    const ScheduleOptions& options) {
   const IntervalSpace sp(instance.participants.size());
 
   std::vector<Rational> weights;
   weights.reserve(decomposition.trees.size());
   for (const ReductionTree& t : decomposition.trees) weights.push_back(t.weight);
-  const Rational period{Rational(integral_period(weights))};
+  PeriodicSchedule schedule;
+  schedule.period = Rational(integral_period(weights));
+  schedule.supplier_of_type.assign(sp.num_intervals(), graph::kInvalidId);
+  schedule.sink_of_type.assign(sp.num_intervals(), graph::kInvalidId);
+  for (std::size_t i = 0; i < instance.participants.size(); ++i) {
+    schedule.supplier_of_type[sp.interval_id(i, i)] = instance.participants[i];
+  }
+  schedule.sink_of_type[sp.full_interval_id()] = instance.target;
 
   // Aggregate messages per (edge, interval) and tasks per (node, task)
   // across trees — the schedule does not need tree identity, and merging
@@ -27,7 +32,7 @@ PeriodicSchedule build_reduce_schedule(
   std::map<std::pair<graph::EdgeId, std::size_t>, Rational> transfer_count;
   std::map<std::pair<graph::NodeId, std::size_t>, Rational> task_count;
   for (const ReductionTree& tree : decomposition.trees) {
-    Rational per_period = tree.weight * period;
+    Rational per_period = tree.weight * schedule.period;
     for (const TreeTask& t : tree.tasks) {
       if (t.kind == TreeTask::Kind::kTransfer) {
         transfer_count[{t.edge, t.interval}] += per_period;
@@ -35,47 +40,6 @@ PeriodicSchedule build_reduce_schedule(
         task_count[{t.node, t.task}] += per_period;
       }
     }
-  }
-
-  struct Payload {
-    graph::EdgeId edge;
-    std::size_t interval;
-  };
-  std::vector<Payload> payloads;
-  std::vector<BipartiteEdge> bip;
-  for (const auto& [key, count] : transfer_count) {
-    auto [edge, interval] = key;
-    Rational busy =
-        count * instance.message_size * instance.platform.edge_cost(edge);
-    payloads.push_back(Payload{edge, interval});
-    bip.push_back(
-        BipartiteEdge{graph.edge(edge).src, graph.edge(edge).dst, busy});
-  }
-
-  EdgeColoring coloring =
-      color_bipartite(graph.num_nodes(), graph.num_nodes(), bip);
-  if (coloring.total_duration > period) {
-    throw std::logic_error(
-        "build_reduce_schedule: coloring exceeds the period");
-  }
-
-  PeriodicSchedule schedule;
-  schedule.period = period;
-  Rational cursor(0);
-  for (const ColorClass& slice : coloring.slices) {
-    for (std::size_t idx : slice.edges) {
-      const Payload& p = payloads[idx];
-      Rational unit =
-          instance.message_size * instance.platform.edge_cost(p.edge);
-      CommActivity act;
-      act.edge = p.edge;
-      act.type = p.interval;
-      act.start = cursor;
-      act.end = cursor + slice.duration;
-      act.messages = slice.duration / unit;
-      schedule.comms.push_back(std::move(act));
-    }
-    cursor += slice.duration;
   }
 
   // Computation: per node, pack tasks sequentially ordered by produced
@@ -95,29 +59,28 @@ PeriodicSchedule build_reduce_schedule(
               });
     Rational t(0);
     for (const auto& [task, count] : tasks) {
-      Rational duration =
-          count * instance.task_work / instance.platform.node_speed(node);
-      CompActivity act;
-      act.node = node;
-      act.task = task;
-      act.start = t;
-      act.end = t + duration;
-      act.count = count;
-      t = act.end;
-      schedule.comps.push_back(std::move(act));
+      Rational end =
+          t + count * instance.task_work / instance.platform.node_speed(node);
+      const auto [k, l, m] = sp.task(task);
+      schedule.comps.push_back(CompActivity{
+          node, task, t, end, count, sp.interval_id(k, l),
+          sp.interval_id(l + 1, m), sp.interval_id(k, m)});
+      t = std::move(end);
     }
-    if (t > period) {
+    if (t > schedule.period) {
       throw std::logic_error(
           "build_reduce_schedule: compute packing exceeds the period");
     }
   }
 
-  if (!options.allow_split_messages && !schedule.has_integral_messages()) {
-    std::vector<Rational> counts;
-    counts.reserve(schedule.comms.size());
-    for (const CommActivity& c : schedule.comms) counts.push_back(c.messages);
-    schedule.scale(Rational(integral_period(counts)));
+  // (edge, interval) map order: it fixes the coloring.
+  std::vector<Traffic> traffic;
+  traffic.reserve(transfer_count.size());
+  for (const auto& [key, count] : transfer_count) {
+    traffic.push_back(Traffic{key.first, key.second, count});
   }
+  lay_out_comms(schedule, instance.platform, instance.message_size, traffic,
+                options);
   return schedule;
 }
 

@@ -1,71 +1,26 @@
 #include "core/scatter_schedule.h"
 
-#include <stdexcept>
-
-#include "core/edge_coloring.h"
 #include "core/integralize.h"
 
 namespace ssco::core {
 
 PeriodicSchedule build_flow_schedule(const platform::Platform& platform,
                                      const MultiFlow& flow,
-                                     const ScatterScheduleOptions& options) {
-  const auto& graph = platform.graph();
-  const num::BigInt period_int = integral_period(flow);
-  const Rational period{Rational(period_int)};
-
-  // One weighted bipartite edge per (platform edge, commodity) with traffic.
-  struct Payload {
-    EdgeId edge;
-    std::size_t commodity;
-    Rational messages;  // per period
-  };
-  std::vector<Payload> payloads;
-  std::vector<BipartiteEdge> bip;
+                                     const ScheduleOptions& options) {
+  PeriodicSchedule schedule;
+  schedule.period = Rational(integral_period(flow));
+  // Commodity-major traffic order: it fixes the coloring.
+  std::vector<Traffic> traffic;
   for (std::size_t k = 0; k < flow.commodities.size(); ++k) {
     const CommodityFlow& c = flow.commodities[k];
-    for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+    schedule.supplier_of_type.push_back(c.origin);
+    schedule.sink_of_type.push_back(c.destination);
+    for (EdgeId e = 0; e < platform.num_edges(); ++e) {
       if (c.edge_flow[e].is_zero()) continue;
-      Rational messages = c.edge_flow[e] * period;
-      Rational busy = messages * flow.message_size * platform.edge_cost(e);
-      payloads.push_back(Payload{e, k, messages});
-      bip.push_back(BipartiteEdge{graph.edge(e).src, graph.edge(e).dst,
-                                  std::move(busy)});
+      traffic.push_back(Traffic{e, k, c.edge_flow[e] * schedule.period});
     }
   }
-
-  EdgeColoring coloring =
-      color_bipartite(graph.num_nodes(), graph.num_nodes(), bip);
-  if (coloring.total_duration > period) {
-    throw std::logic_error(
-        "build_flow_schedule: coloring exceeds the period (one-port "
-        "constraints violated upstream)");
-  }
-
-  PeriodicSchedule schedule;
-  schedule.period = period;
-  Rational cursor(0);
-  for (const ColorClass& slice : coloring.slices) {
-    for (std::size_t idx : slice.edges) {
-      const Payload& p = payloads[idx];
-      Rational unit_time = flow.message_size * platform.edge_cost(p.edge);
-      CommActivity act;
-      act.edge = p.edge;
-      act.type = p.commodity;
-      act.start = cursor;
-      act.end = cursor + slice.duration;
-      act.messages = slice.duration / unit_time;
-      schedule.comms.push_back(std::move(act));
-    }
-    cursor += slice.duration;
-  }
-
-  if (!options.allow_split_messages && !schedule.has_integral_messages()) {
-    std::vector<Rational> counts;
-    counts.reserve(schedule.comms.size());
-    for (const CommActivity& c : schedule.comms) counts.push_back(c.messages);
-    schedule.scale(Rational(integral_period(counts)));
-  }
+  lay_out_comms(schedule, platform, flow.message_size, traffic, options);
   return schedule;
 }
 

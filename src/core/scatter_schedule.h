@@ -1,12 +1,12 @@
 #pragma once
 // Concrete periodic schedule for scatter/gossip flows (paper Sec. 3.3).
 //
-// Pipeline: integralize the flow (period T = LCM of denominators), build the
-// bipartite port graph (one sender and one receiver port per node, one
-// weighted edge per (platform edge, message type) with positive traffic),
-// decompose it with the weighted edge coloring, and lay the color classes
-// out back-to-back inside the period. Every port then serves at most one
-// transfer at any instant — the one-port model holds by construction.
+// Pipeline: integralize the flow (period T = LCM of denominators), list the
+// messages per period of every (platform edge, commodity) pair with
+// positive traffic, and lay them out with core::lay_out_comms (weighted
+// edge coloring of the bipartite port graph, color classes back to back).
+// Every port then serves at most one transfer at any instant — the one-port
+// model holds by construction.
 //
 // Two modes, matching Fig. 4:
 //  * split allowed (default): activities may carry fractional message counts
@@ -21,14 +21,11 @@
 
 namespace ssco::core {
 
-struct ScatterScheduleOptions {
-  bool allow_split_messages = true;
-};
-
 /// Builds the periodic schedule realizing `flow` on the platform. Works for
-/// any MultiFlow (scatter or gossip); activity `type` is the commodity index.
+/// any MultiFlow (scatter or gossip): type k is commodity k, supplied by its
+/// origin and absorbed by its destination.
 [[nodiscard]] PeriodicSchedule build_flow_schedule(
     const platform::Platform& platform, const MultiFlow& flow,
-    const ScatterScheduleOptions& options = {});
+    const ScheduleOptions& options = {});
 
 }  // namespace ssco::core

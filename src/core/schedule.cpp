@@ -4,6 +4,9 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/edge_coloring.h"
+#include "core/integralize.h"
+
 namespace ssco::core {
 
 void PeriodicSchedule::scale(const Rational& factor) {
@@ -65,6 +68,47 @@ std::string PeriodicSchedule::to_string() const {
   os << "period = " << period << "\n";
   for (const Line& l : lines) os << l.text << "\n";
   return os.str();
+}
+
+void lay_out_comms(PeriodicSchedule& schedule,
+                   const platform::Platform& platform,
+                   const Rational& message_size,
+                   const std::vector<Traffic>& traffic,
+                   const ScheduleOptions& options) {
+  const auto& graph = platform.graph();
+  std::vector<BipartiteEdge> bip;
+  bip.reserve(traffic.size());
+  for (const Traffic& t : traffic) {
+    bip.push_back(BipartiteEdge{
+        graph.edge(t.edge).src, graph.edge(t.edge).dst,
+        t.messages * message_size * platform.edge_cost(t.edge)});
+  }
+  const EdgeColoring coloring =
+      color_bipartite(graph.num_nodes(), graph.num_nodes(), bip);
+  if (coloring.total_duration > schedule.period) {
+    throw std::logic_error(
+        "lay_out_comms: coloring exceeds the period (one-port constraints "
+        "violated upstream)");
+  }
+
+  Rational start(0);
+  for (const ColorClass& slice : coloring.slices) {
+    Rational end = start + slice.duration;
+    for (std::size_t idx : slice.edges) {
+      const Traffic& t = traffic[idx];
+      schedule.comms.push_back(CommActivity{
+          t.edge, t.type, start, end,
+          slice.duration / (message_size * platform.edge_cost(t.edge))});
+    }
+    start = std::move(end);
+  }
+
+  if (!options.allow_split_messages && !schedule.has_integral_messages()) {
+    std::vector<Rational> counts;
+    counts.reserve(schedule.comms.size());
+    for (const CommActivity& c : schedule.comms) counts.push_back(c.messages);
+    schedule.scale(Rational(integral_period(counts)));
+  }
 }
 
 }  // namespace ssco::core

@@ -10,10 +10,8 @@ FlowPlan optimize_scatter(const platform::ScatterInstance& instance,
   FlowPlan plan;
   plan.flow =
       solve_scatter(instance, lp_options, previous ? &previous->flow : nullptr);
-  ScatterScheduleOptions sched_options;
-  sched_options.allow_split_messages = options.allow_split_messages;
-  plan.schedule =
-      build_flow_schedule(instance.platform, plan.flow, sched_options);
+  plan.schedule = build_flow_schedule(instance.platform, plan.flow,
+                                      {options.allow_split_messages});
   return plan;
 }
 
@@ -25,10 +23,8 @@ FlowPlan optimize_gossip(const platform::GossipInstance& instance,
   FlowPlan plan;
   plan.flow =
       solve_gossip(instance, lp_options, previous ? &previous->flow : nullptr);
-  ScatterScheduleOptions sched_options;
-  sched_options.allow_split_messages = options.allow_split_messages;
-  plan.schedule =
-      build_flow_schedule(instance.platform, plan.flow, sched_options);
+  plan.schedule = build_flow_schedule(instance.platform, plan.flow,
+                                      {options.allow_split_messages});
   return plan;
 }
 
@@ -41,9 +37,8 @@ ReducePlan optimize_reduce(const platform::ReduceInstance& instance,
   plan.solution = solve_reduce(instance, lp_options,
                                previous ? &previous->solution : nullptr);
   plan.trees = extract_trees(instance, plan.solution);
-  ReduceScheduleOptions sched_options;
-  sched_options.allow_split_messages = options.allow_split_messages;
-  plan.schedule = build_reduce_schedule(instance, plan.trees, sched_options);
+  plan.schedule = build_reduce_schedule(instance, plan.trees,
+                                        {options.allow_split_messages});
   return plan;
 }
 

@@ -153,7 +153,7 @@ class Engine {
     buckets_.resize(p_.platform->num_edges());
     for (graph::EdgeId e = 0; e < p_.platform->num_edges(); ++e) {
       buckets_[e] = TokenBucket(p_.actual_rate[e],
-                                opt_.burst_chunks * max_chunk[e]);
+                                kBurstChunks * max_chunk[e]);
     }
     edge_bytes_.assign(p_.platform->num_edges(), 0);
     edge_busy_.assign(p_.platform->num_edges(), 0.0);
@@ -361,7 +361,7 @@ class Engine {
     if (!unlimited(u, t.type) && avail_[u][t.type] < c.messages) {
       return false;  // the producer's commit marks this port
     }
-    const double slack = opt_.burst_chunks * c.seconds;
+    const double slack = kBurstChunks * c.seconds;
     const double bucket =
         buckets_[t.edge].ready_time(now, static_cast<double>(c.bytes));
     double rt = std::max(port.tat - slack, bucket);
@@ -449,7 +449,7 @@ class Engine {
     const TransferTemplate& t = p_.transfers[tmpl];
     const ChunkSpec& c = t.chunks[port.sub];
     if (channels_[tmpl].empty()) return false;  // the sender's push marks us
-    const double slack = opt_.burst_chunks * c.seconds;
+    const double slack = kBurstChunks * c.seconds;
     const double rt =
         std::max(channels_[tmpl].front().arrive_time, port.tat - slack);
     if (rt > now) {
@@ -497,7 +497,7 @@ class Engine {
     const ComputeSlice& s = ct.slices[port.sub];
     if (!unlimited(u, ct.left) && avail_[u][ct.left] < s.count) return false;
     if (!unlimited(u, ct.right) && avail_[u][ct.right] < s.count) return false;
-    const double slack = opt_.burst_chunks * s.seconds;
+    const double slack = kBurstChunks * s.seconds;
     const double rt = port.tat - slack;
     if (rt > now) {
       ready = rt;

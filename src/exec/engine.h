@@ -28,14 +28,17 @@
 //
 // Because every port executes strictly one activity at a time and its TAT
 // advances by the activity's full wire/compute occupation, the one-port
-// model is enforced structurally; the engine still keeps per-port occupancy
-// counters and reports any overlap as a violation (always 0 unless the
-// engine itself is broken — which is the point of counting).
+// model should hold structurally; the engine still counts per-port
+// occupancy and reports any overlap as a violation. Every suite input reads
+// 0; the dense random_reduce n=16, 6 parts, seed 10 of
+// benchmark/src/instances.h reads 192 (ROADMAP item 1).
 //
-// Deadlock freedom: node buffers are primed with exactly one period's worth
-// of each type a node consumes (the paper's pipeline-fill: period p works on
-// data produced in period p-1), so intra-period availability waits never
-// form a cycle; sends only wait on time or a draining channel.
+// Priming: node buffers start with one period's worth of each type a node
+// consumes (the paper's pipeline-fill: period p works on data produced in
+// period p-1), meant to keep intra-period availability waits from forming a
+// cycle; sends only wait on time or a draining channel. It does not for
+// every plan: dense random_reduce n=12, 5 parts, seed 28 and n=16, 6 parts,
+// seed 3 end in kDeadlock on the event backend (ROADMAP item 1).
 
 #include <cstdint>
 #include <deque>

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/intervals.h"
 #include "sim/oneport_check.h"
 
 namespace ssco::exec {
@@ -38,28 +37,27 @@ std::vector<std::size_t> schedule_order(const std::vector<Activity>& acts) {
 /// can carry hundreds of thousands of messages per period — at a fixed 64KB
 /// each no real machine could pace them).
 std::size_t resolve_bytes_per_message(double msgs_per_period) {
-  std::size_t bytes = kBytesPerMessage;
-  if (msgs_per_period > 0) {
-    const double fit =
-        static_cast<double>(kBytesPerPeriodBudget) / msgs_per_period;
-    bytes = std::min(
-        bytes, std::max<std::size_t>(8, static_cast<std::size_t>(fit)));
-  }
-  return bytes;
+  if (msgs_per_period <= 0) return kBytesPerMessage;
+  const double fit =
+      static_cast<double>(kBytesPerPeriodBudget) / msgs_per_period;
+  return fit >= static_cast<double>(kBytesPerMessage)
+             ? kBytesPerMessage
+             : std::max<std::size_t>(8, static_cast<std::size_t>(fit));
 }
 
-/// Wall seconds per model time unit: one period takes target_period_seconds,
-/// stretched until the period's wire traffic fits under kMaxBytesPerSec of
-/// real memory movement.
-double resolve_seconds_per_unit(const ExecOptions& options,
-                                const Rational& period,
-                                double wire_bytes_per_period) {
-  const double p = period.to_double();
-  if (p <= 0.0) throw std::invalid_argument("exec: non-positive period");
-  const double period_seconds =
-      std::max(options.target_period_seconds,
-               wire_bytes_per_period / kMaxBytesPerSec);
-  return period_seconds / p;
+/// Wire bytes of one transfer per period, capped at 2^53 before the
+/// conversion: exact in a double, and kMaxChunksPerTransfer times it still
+/// fits 64 bits, so the chunk partition below cannot wrap. With at least 8
+/// bytes per message the cap binds only past 2^50 messages per transfer.
+std::uint64_t wire_bytes(const Rational& messages,
+                         std::size_t bytes_per_message) {
+  constexpr std::uint64_t kMaxWireBytes = std::uint64_t{1} << 53;
+  const double bytes =
+      (messages * Rational(static_cast<std::int64_t>(bytes_per_message)))
+          .to_double();
+  return bytes < static_cast<double>(kMaxWireBytes)
+             ? static_cast<std::uint64_t>(std::llround(bytes))
+             : kMaxWireBytes;
 }
 
 double rate_scale(const ExecOptions& options, graph::EdgeId e) {
@@ -99,78 +97,148 @@ void chunk_transfer(TransferTemplate& t, const Rational& unit_model_time,
   }
 }
 
-/// First pass over the schedule: transfer skeletons (roles, messages, wire
-/// bytes) in schedule order. Chunking happens after pacing is resolved.
-double build_transfers(ExecProgram& program,
-                       const std::vector<core::CommActivity>& comms,
-                       std::size_t bytes_per_message) {
-  const auto& graph = program.platform->graph();
-  double total_wire = 0.0;
-  program.transfers.reserve(comms.size());
-  for (std::size_t i : schedule_order(comms)) {
-    const core::CommActivity& act = comms[i];
-    if (act.type >= program.num_types) {
+/// What a front end knows that the schedule does not.
+struct FrontEnd {
+  ExecProgram::Kind kind;
+  const platform::Platform& platform;
+  const Rational& throughput;
+  const Rational& message_size;
+  const Rational& task_work;
+  bool verifiable;              // exactly-once verification may turn on
+  std::size_t messages_per_op;  // application payload per operation
+};
+
+ExecProgram compile(const FrontEnd& in, const core::PeriodicSchedule& schedule,
+                    const ExecOptions& options) {
+  const platform::Platform& pf = in.platform;
+  ExecProgram program;
+  program.kind = in.kind;
+  program.platform = &pf;
+  program.period = schedule.period;
+  program.throughput = in.throughput;
+  program.oneport_error =
+      sim::check_oneport(schedule, pf, {in.message_size, in.task_work});
+  program.num_types = schedule.num_types();
+  program.supplier_of_type = schedule.supplier_of_type;
+  program.sink_of_type = schedule.sink_of_type;
+  const auto check_type = [&program](std::size_t type) {
+    if (type >= program.num_types) {
       throw std::invalid_argument("exec: activity type out of range");
     }
+  };
+
+  double msgs_per_period = 0.0;
+  for (const core::CommActivity& act : schedule.comms) {
+    msgs_per_period += act.messages.to_double();
+  }
+  program.bytes_per_message = resolve_bytes_per_message(msgs_per_period);
+  program.verify =
+      in.verifiable && schedule.has_integral_messages() &&
+      msgs_per_period <= static_cast<double>(kMaxVerifyMsgsPerPeriod);
+  program.op_payload_bytes = in.messages_per_op * program.bytes_per_message;
+
+  // Transfers in schedule order; they are chunked once pacing is known.
+  // `arrived` sums, per sink type, what reaches the sink per period by wire
+  // or by a local merge.
+  std::vector<Rational> arrived(program.num_types);
+  double total_wire = 0.0;
+  program.transfers.reserve(schedule.comms.size());
+  for (std::size_t i : schedule_order(schedule.comms)) {
+    const core::CommActivity& act = schedule.comms[i];
+    check_type(act.type);
     TransferTemplate t;
     t.edge = act.edge;
-    t.src = graph.edge(act.edge).src;
-    t.dst = graph.edge(act.edge).dst;
+    t.src = pf.graph().edge(act.edge).src;
+    t.dst = pf.graph().edge(act.edge).dst;
     t.type = act.type;
     t.messages = act.messages;
-    t.wire_bytes = static_cast<std::uint64_t>(std::llround(
-        (act.messages *
-         Rational(static_cast<std::int64_t>(bytes_per_message)))
-            .to_double()));
+    t.wire_bytes = wire_bytes(act.messages, program.bytes_per_message);
     total_wire += static_cast<double>(t.wire_bytes);
+    if (program.sink_of_type[t.type] == t.dst) arrived[t.type] += t.messages;
     program.transfers.push_back(std::move(t));
   }
-  return total_wire;
-}
 
-void fill_rates(ExecProgram& program, const Rational& message_size,
-                const ExecOptions& options) {
-  const platform::Platform& pf = *program.platform;
+  // Wall seconds per model time unit: one period takes
+  // target_period_seconds, stretched until the period's wire traffic fits
+  // under kMaxBytesPerSec of real memory movement.
+  const double period = schedule.period.to_double();
+  if (period <= 0.0) throw std::invalid_argument("exec: non-positive period");
+  program.seconds_per_unit =
+      std::max(options.target_period_seconds, total_wire / kMaxBytesPerSec) /
+      period;
   const double B = static_cast<double>(program.bytes_per_message);
   program.modeled_rate.resize(pf.num_edges());
   program.actual_rate.resize(pf.num_edges());
   for (graph::EdgeId e = 0; e < pf.num_edges(); ++e) {
     const double unit_seconds =
-        (message_size * pf.edge_cost(e)).to_double() * program.seconds_per_unit;
+        (in.message_size * pf.edge_cost(e)).to_double() *
+        program.seconds_per_unit;
     program.modeled_rate[e] = B / unit_seconds;
     program.actual_rate[e] = program.modeled_rate[e] * rate_scale(options, e);
   }
-}
 
-void chunk_all(ExecProgram& program, const Rational& message_size,
-               const ExecOptions& options) {
-  for (TransferTemplate& t : program.transfers) {
-    chunk_transfer(t, message_size * program.platform->edge_cost(t.edge),
-                   program.seconds_per_unit, rate_scale(options, t.edge),
-                   program.verify);
+  // Computations in schedule order, sliced into one piece per whole merge
+  // up to kMaxChunksPerTransfer. The count is clamped before it becomes an
+  // integer: a count past 2^64 has no size_t value.
+  program.comps.reserve(schedule.comps.size());
+  for (std::size_t i : schedule_order(schedule.comps)) {
+    const core::CompActivity& act = schedule.comps[i];
+    for (const std::size_t type : {act.left, act.right, act.product}) {
+      check_type(type);
+    }
+    ComputeTemplate c{act.node, act.left, act.right, act.product, act.count,
+                      {}};
+    const Rational unit_time = in.task_work / pf.node_speed(act.node);
+    const auto slices = static_cast<std::size_t>(
+        std::clamp(std::ceil(act.count.to_double()), 1.0,
+                   static_cast<double>(kMaxChunksPerTransfer)));
+    for (std::size_t s = 0; s < slices; ++s) {
+      ComputeSlice slice;
+      slice.count = act.count * Rational(1, static_cast<std::int64_t>(slices));
+      slice.seconds =
+          (slice.count * unit_time).to_double() * program.seconds_per_unit;
+      c.slices.push_back(std::move(slice));
+    }
+    if (program.sink_of_type[c.product] == c.node) {
+      arrived[c.product] += c.count;
+    }
+    program.comps.push_back(std::move(c));
   }
-}
 
-void build_port_orders(ExecProgram& program) {
-  const std::size_t n = program.num_nodes();
+  // An operation needs every sink type. Verify mode also needs each count
+  // whole (message identity is whole).
+  bool first = true;
+  for (std::size_t k = 0; k < program.num_types; ++k) {
+    if (program.sink_of_type[k] == graph::kInvalidId) continue;
+    if (first || arrived[k] < program.ops_per_period) {
+      program.ops_per_period = arrived[k];
+    }
+    first = false;
+    program.verify = program.verify && arrived[k].is_integer();
+  }
+  if (program.verify) {
+    for (const Rational& a : arrived) {
+      program.msgs_per_period.push_back(
+          static_cast<std::uint64_t>(a.num().to_int64()));
+    }
+  }
+
+  const std::size_t n = pf.num_nodes();
   program.out_order.assign(n, {});
   program.in_order.assign(n, {});
   program.cpu_order.assign(n, {});
   for (std::size_t i = 0; i < program.transfers.size(); ++i) {
-    program.out_order[program.transfers[i].src].push_back(i);
-    program.in_order[program.transfers[i].dst].push_back(i);
+    TransferTemplate& t = program.transfers[i];
+    chunk_transfer(t, in.message_size * pf.edge_cost(t.edge),
+                   program.seconds_per_unit, rate_scale(options, t.edge),
+                   program.verify);
+    program.out_order[t.src].push_back(i);
+    program.in_order[t.dst].push_back(i);
   }
   for (std::size_t i = 0; i < program.comps.size(); ++i) {
     program.cpu_order[program.comps[i].node].push_back(i);
   }
-}
-
-double total_messages_per_period(const std::vector<core::CommActivity>& comms) {
-  double total = 0.0;
-  for (const core::CommActivity& act : comms) {
-    total += act.messages.to_double();
-  }
-  return total;
+  return program;
 }
 
 }  // namespace
@@ -179,144 +247,25 @@ ExecProgram compile_flow_program(const platform::Platform& platform,
                                  const core::MultiFlow& flow,
                                  const core::PeriodicSchedule& schedule,
                                  const ExecOptions& options) {
-  ExecProgram program;
-  program.kind = ExecProgram::Kind::kFlow;
-  program.platform = &platform;
-  program.period = schedule.period;
-  program.throughput = flow.throughput;
-
-  sim::OneportCheckOptions check;
-  check.message_size = flow.message_size;
-  program.oneport_error = sim::check_oneport(schedule, platform, check);
-
-  program.num_types = flow.commodities.size();
-  program.supplier_of_type.resize(program.num_types);
-  program.sink_of_type.resize(program.num_types);
-  for (std::size_t k = 0; k < program.num_types; ++k) {
-    program.supplier_of_type[k] = flow.commodities[k].origin;
-    program.sink_of_type[k] = flow.commodities[k].destination;
-  }
-
-  const double msgs_per_period = total_messages_per_period(schedule.comms);
-  program.bytes_per_message = resolve_bytes_per_message(msgs_per_period);
-  program.verify =
-      schedule.has_integral_messages() &&
-      msgs_per_period <= static_cast<double>(kMaxVerifyMsgsPerPeriod);
-  program.op_payload_bytes = program.num_types * program.bytes_per_message;
-
-  const double total_wire =
-      build_transfers(program, schedule.comms, program.bytes_per_message);
-  program.seconds_per_unit =
-      resolve_seconds_per_unit(options, schedule.period, total_wire);
-  fill_rates(program, flow.message_size, options);
-
-  // Ops per period = the common per-commodity delivery count; verify mode
-  // additionally needs every count integral (message identity is whole).
-  const auto& graph = platform.graph();
-  Rational ops;
-  bool first = true;
-  program.msgs_per_period.resize(program.num_types);
-  for (std::size_t k = 0; k < program.num_types; ++k) {
-    const Rational d =
-        schedule.delivered_per_period(program.sink_of_type[k], k, graph);
-    ops = first ? d : Rational::min(ops, d);
-    first = false;
-    if (d.is_integer()) {
-      program.msgs_per_period[k] =
-          static_cast<std::uint64_t>(d.num().to_int64());
-    } else {
-      program.verify = false;
-    }
-  }
-  program.ops_per_period = ops;
-  if (!program.verify) program.msgs_per_period.clear();
-
-  chunk_all(program, flow.message_size, options);
-  build_port_orders(program);
-  return program;
+  const Rational no_work(1);
+  return compile({ExecProgram::Kind::kFlow, platform, flow.throughput,
+                  flow.message_size, no_work, /*verifiable=*/true,
+                  flow.commodities.size()},
+                 schedule, options);
 }
 
 ExecProgram compile_reduce_program(const platform::ReduceInstance& instance,
                                    const Rational& throughput,
                                    const core::PeriodicSchedule& schedule,
                                    const ExecOptions& options) {
-  const platform::Platform& platform = instance.platform;
-  ExecProgram program;
-  program.kind = ExecProgram::Kind::kReduce;
-  program.platform = &platform;
-  program.period = schedule.period;
-  program.throughput = throughput;
-
-  sim::OneportCheckOptions check;
-  check.message_size = instance.message_size;
-  check.task_work = instance.task_work;
-  program.oneport_error = sim::check_oneport(schedule, platform, check);
-
-  const core::IntervalSpace sp(instance.participants.size());
-  const std::size_t full = sp.full_interval_id();
-  program.num_types = sp.num_intervals();
-  program.supplier_of_type.assign(program.num_types, graph::kInvalidId);
-  program.sink_of_type.assign(program.num_types, graph::kInvalidId);
-  for (std::size_t id = 0; id < sp.num_intervals(); ++id) {
-    auto [k, m] = sp.interval(id);
-    if (k == m) program.supplier_of_type[id] = instance.participants[k];
-  }
-  program.sink_of_type[full] = instance.target;
-
   // Message identity is a per-tree notion the aggregated reduce schedule
-  // deliberately drops; the reduce data model verifies legality structurally
-  // instead: only adjacent intervals ever merge (see exec tests).
-  program.verify = false;
-  const double msgs_per_period = total_messages_per_period(schedule.comms);
-  program.bytes_per_message = resolve_bytes_per_message(msgs_per_period);
-  program.op_payload_bytes =
-      instance.participants.size() * program.bytes_per_message;
-
-  const double total_wire =
-      build_transfers(program, schedule.comms, program.bytes_per_message);
-  program.seconds_per_unit =
-      resolve_seconds_per_unit(options, schedule.period, total_wire);
-  fill_rates(program, instance.message_size, options);
-  chunk_all(program, instance.message_size, options);
-
-  program.comps.reserve(schedule.comps.size());
-  for (std::size_t i : schedule_order(schedule.comps)) {
-    const core::CompActivity& act = schedule.comps[i];
-    auto [k, l, m] = sp.task(act.task);
-    ComputeTemplate c;
-    c.node = act.node;
-    c.left = sp.interval_id(k, l);
-    c.right = sp.interval_id(l + 1, m);
-    c.product = sp.interval_id(k, m);
-    c.count = act.count;
-    const Rational unit_time =
-        instance.task_work / platform.node_speed(act.node);
-    auto slices = static_cast<std::size_t>(
-        std::max(1.0, std::ceil(act.count.to_double())));
-    slices = std::min(slices, kMaxChunksPerTransfer);
-    c.slices.reserve(slices);
-    for (std::size_t s = 0; s < slices; ++s) {
-      ComputeSlice slice;
-      slice.count = act.count * Rational(1, static_cast<std::int64_t>(slices));
-      slice.seconds =
-          (slice.count * unit_time).to_double() * program.seconds_per_unit;
-      c.slices.push_back(std::move(slice));
-    }
-    program.comps.push_back(std::move(c));
-  }
-  build_port_orders(program);
-
-  // Ops per period: full-interval arrivals at the target, by wire or by a
-  // local final merge.
-  Rational ops(0);
-  for (const TransferTemplate& t : program.transfers) {
-    if (t.type == full && t.dst == instance.target) ops += t.messages;
-  }
-  for (const ComputeTemplate& c : program.comps) {
-    if (c.product == full && c.node == instance.target) ops += c.count;
-  }
-  program.ops_per_period = ops;
-  return program;
+  // deliberately drops; the reduce data model verifies legality
+  // structurally instead: only adjacent intervals ever merge (see exec
+  // tests).
+  return compile({ExecProgram::Kind::kReduce, instance.platform, throughput,
+                  instance.message_size, instance.task_work,
+                  /*verifiable=*/false, instance.participants.size()},
+                 schedule, options);
 }
 
 }  // namespace ssco::exec

@@ -10,6 +10,12 @@
 // static one-port checker (sim/oneport_check.h) so a structurally broken
 // schedule is rejected before a single byte moves.
 //
+// Both front ends (compile_flow_program, compile_reduce_program) share one
+// compile body. Type roles and merge operands come from the schedule
+// (core/schedule.h); a front end adds only the certified throughput, the
+// instance's message size and task work, the verification policy and the
+// payload per operation.
+//
 // The same program drives both engines: the threaded executor
 // (exec/threaded_executor.h) paces it against the wall clock, the
 // discrete-event executor (sim/event_exec.h) against a virtual clock.
@@ -60,6 +66,10 @@ inline constexpr std::size_t kChunkBytes = 16 * 1024;
 inline constexpr std::size_t kChannelChunks = 8;
 /// Threaded executor: abort with an error if no progress for this long.
 inline constexpr double kWatchdogSeconds = 20.0;
+/// Token-bucket burst (and port pacing slack), in chunks: how far a port may
+/// catch up after an admission stall. Bounds the transient rate overshoot;
+/// the long-run rate is still the modeled one.
+inline constexpr double kBurstChunks = 2.0;
 
 struct ExecOptions {
   /// Worker threads for the threaded executor; 0 = min(hardware, 8).
@@ -71,10 +81,6 @@ struct ExecOptions {
   std::size_t warmup_periods = 8;
   /// Periods inside the measured window.
   std::size_t measure_periods = 32;
-  /// Token-bucket burst (and port pacing slack), in chunks: how far a port
-  /// may catch up after an admission stall. Bounds the transient rate
-  /// overshoot; the long-run rate is still the modeled one.
-  double burst_chunks = 2.0;
   /// Drift injection for the observe -> re-solve loop: actual link rate =
   /// modeled rate * link_rate_scale[edge]. Empty = all 1.0. The plan keeps
   /// believing the modeled rate; the report shows what really happened.
@@ -114,7 +120,7 @@ struct ComputeSlice {
 };
 struct ComputeTemplate {
   graph::NodeId node = graph::kInvalidId;
-  std::size_t left = 0, right = 0, product = 0;  // interval ids
+  std::size_t left = 0, right = 0, product = 0;  // merge types
   Rational count;  // per period
   std::vector<ComputeSlice> slices;
 };
@@ -124,7 +130,8 @@ struct ExecProgram {
   Kind kind = Kind::kFlow;
   const platform::Platform* platform = nullptr;
 
-  // Data model: buffered value types (commodities or intervals).
+  // Data model: buffered value types (commodities or intervals) and their
+  // roles, copied from the schedule (core/schedule.h).
   std::size_t num_types = 0;
   /// Node with unlimited supply of each type (flow: the commodity origin;
   /// reduce: the owning participant of a singleton), kInvalidId otherwise.
@@ -143,7 +150,9 @@ struct ExecProgram {
 
   Rational period;          // model units
   Rational throughput;      // LP-certified TP, ops per model unit
-  Rational ops_per_period;  // integral ops completed per period
+  /// Operations completed per period: the minimum over sink types of what
+  /// reaches the sink by wire or by a local merge.
+  Rational ops_per_period;
   double seconds_per_unit = 0.0;
   /// Wire bytes of one model message (kBytesPerMessage, possibly shrunk to
   /// honor the per-period byte budget).
@@ -170,14 +179,16 @@ struct ExecProgram {
   }
 };
 
-/// Compiles a scatter/gossip flow plan. `flow` provides commodity roles and
-/// the certified throughput; `schedule` is the realized periodic schedule.
+/// Compiles a scatter/gossip flow plan. `flow` provides the certified
+/// throughput; `schedule` is the realized periodic schedule. Whole-message
+/// schedules are verified exactly once (see ExecProgram::verify).
 [[nodiscard]] ExecProgram compile_flow_program(
     const platform::Platform& platform, const core::MultiFlow& flow,
     const core::PeriodicSchedule& schedule, const ExecOptions& options = {});
 
-/// Compiles a reduce plan (schedule types are IntervalSpace interval ids;
-/// compute tasks are IntervalSpace task ids).
+/// Compiles a reduce plan (schedule types are IntervalSpace interval ids).
+/// Never verified: message identity is per tree, which the aggregated
+/// schedule drops.
 [[nodiscard]] ExecProgram compile_reduce_program(
     const platform::ReduceInstance& instance, const Rational& throughput,
     const core::PeriodicSchedule& schedule, const ExecOptions& options = {});

@@ -88,10 +88,7 @@ PlanService::PlanService(PlanServiceOptions options)
           : std::max<std::size_t>(1, lp::hardware_threads() / workers);
   // Cold-lane cap: reserve one worker for warm re-solves unless the pool
   // has a single worker (then the cap would deadlock the cold lane).
-  max_cold_ = options_.max_cold_workers != 0
-                  ? options_.max_cold_workers
-                  : (workers > 1 ? workers - 1 : 1);
-  max_cold_ = std::min(max_cold_, workers);
+  max_cold_ = workers > 1 ? workers - 1 : 1;
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

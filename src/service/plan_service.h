@@ -97,9 +97,6 @@ struct PlanServiceOptions {
   /// continues in the background) instead of an exception. Only applies
   /// when a stale candidate exists.
   bool serve_stale = true;
-  /// Cold-lane concurrency cap; 0 = workers - 1 (min 1), which reserves
-  /// one worker for the warm lane. Ignored when there is a single worker.
-  std::size_t max_cold_workers = 0;
   /// Exact-cache TTL in ms (see PlanCache); 0 = entries never expire.
   double cache_ttl_ms = 0.0;
 };

@@ -15,7 +15,7 @@ namespace {
 using testing::R;
 
 PeriodicSchedule schedule_for(const platform::ReduceInstance& inst,
-                              const ReduceScheduleOptions& options = {}) {
+                              const ScheduleOptions& options = {}) {
   ReduceSolution sol = solve_reduce(inst);
   TreeDecomposition d = extract_trees(inst, sol);
   return build_reduce_schedule(inst, d, options);
@@ -72,7 +72,7 @@ TEST(ReduceSchedule, Fig9OnePortValid) {
 
 TEST(ReduceSchedule, NoSplitModeIntegralMessages) {
   auto inst = platform::fig6_triangle();
-  ReduceScheduleOptions options;
+  ScheduleOptions options;
   options.allow_split_messages = false;
   PeriodicSchedule sched = schedule_for(inst, options);
   EXPECT_TRUE(sched.has_integral_messages());

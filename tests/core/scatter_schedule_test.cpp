@@ -32,7 +32,7 @@ TEST(ScatterSchedule, NoSplitModeGivesIntegralMessages) {
   // The Fig. 4(b) construction: rescale until no message is split.
   auto inst = platform::fig2_toy();
   MultiFlow flow = solve_scatter(inst);
-  ScatterScheduleOptions options;
+  ScheduleOptions options;
   options.allow_split_messages = false;
   PeriodicSchedule sched = build_flow_schedule(inst.platform, flow, options);
   EXPECT_TRUE(sched.has_integral_messages());

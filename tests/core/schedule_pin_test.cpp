@@ -30,8 +30,7 @@
 #include "core/steady_state.h"
 #include "exec/program.h"
 #include "platform/paper_instances.h"
-#include "sim/reduce_sim.h"
-#include "sim/scatter_sim.h"
+#include "sim/fluid_sim.h"
 #include "testing/util.h"
 
 namespace ssco {
@@ -155,18 +154,18 @@ struct Digests {
   std::uint64_t program = 0;
 };
 
-Fluid run_fluid(const platform::Platform& platform, const core::MultiFlow& flow,
+Fluid run_fluid(const platform::Platform& platform,
                 const core::PeriodicSchedule& schedule, std::size_t periods) {
-  const sim::ScatterSimResult r =
-      sim::simulate_flow_schedule(platform, flow, schedule, periods);
+  const sim::FluidSimResult r =
+      sim::simulate_schedule(platform, schedule, periods);
   return {r.horizon, r.delivered_by_period, r.completed_operations,
           r.steady_state_reached};
 }
 
 Fluid run_fluid(const platform::ReduceInstance& inst,
                 const core::PeriodicSchedule& schedule, std::size_t periods) {
-  const sim::ReduceSimResult r =
-      sim::simulate_reduce_schedule(inst, schedule, periods);
+  const sim::FluidSimResult r =
+      sim::simulate_schedule(inst.platform, schedule, periods);
   Fluid f{r.horizon, {}, r.completed_operations, r.steady_state_reached};
   for (const Rational& c : r.completed_by_period) f.by_period.push_back({c});
   return f;
@@ -186,7 +185,7 @@ Digests flow_digests(const platform::Platform& platform,
   d.schedule = s.value();
   Fnv1a f;
   for (const std::size_t periods : kHorizons) {
-    add(f, run_fluid(platform, plan.flow, plan.schedule, periods));
+    add(f, run_fluid(platform, plan.schedule, periods));
   }
   d.fluid = f.value();
   d.program = digest(exec::compile_flow_program(

@@ -27,7 +27,7 @@
 #include "exec/threaded_executor.h"
 #include "platform/paper_instances.h"
 #include "sim/event_exec.h"
-#include "sim/scatter_sim.h"
+#include "sim/fluid_sim.h"
 #include "testing/util.h"
 
 namespace ssco {
@@ -110,6 +110,51 @@ TEST(ExecProgramTest, ReduceMergesOnlyAdjacentIntervals) {
     num::Rational sum(0);
     for (const auto& s : comp.slices) sum += s.count;
     EXPECT_EQ(sum, comp.count);
+  }
+}
+
+TEST(ExecProgramTest, HugeCountsCompileToBoundedSlicesAndChunks) {
+  // Large-LCM periods put 10^18..10^30 operations in one period of some
+  // certified plans. Compile must still give every template 1 to
+  // kMaxChunksPerTransfer slices or chunks, whose bytes add up to the
+  // transfer's, and the run must end in the typed count overflow.
+  const auto inst = platform::fig6_triangle();
+  const auto plan = core::optimize_reduce(inst);
+  std::size_t prev_slices = 0;
+  for (const char* factor : {"1000000000000000000", "100000000000000000000"}) {
+    SCOPED_TRACE(std::string("schedule scaled by ") + factor);
+    core::PeriodicSchedule schedule = plan.schedule;
+    schedule.scale(num::Rational(factor));
+    const ExecProgram program = exec::compile_reduce_program(
+        inst, plan.solution.throughput, schedule);
+    std::size_t slices = 0;
+    for (const auto& comp : program.comps) {
+      EXPECT_GE(comp.slices.size(), 1u);
+      EXPECT_LE(comp.slices.size(), exec::kMaxChunksPerTransfer);
+      slices += comp.slices.size();
+    }
+    EXPECT_GE(slices, prev_slices);
+    prev_slices = slices;
+    for (const auto& t : program.transfers) {
+      EXPECT_GE(t.chunks.size(), 1u);
+      EXPECT_LE(t.chunks.size(), exec::kMaxChunksPerTransfer);
+      std::uint64_t bytes = 0;
+      bool wrapped = false;
+      for (const auto& c : t.chunks) {
+        wrapped = wrapped || c.bytes > t.wire_bytes;
+        bytes += c.bytes;
+      }
+      EXPECT_FALSE(wrapped);
+      EXPECT_EQ(bytes, t.wire_bytes);
+    }
+    for (const bool threaded : {false, true}) {
+      SCOPED_TRACE(threaded ? "threaded" : "event");
+      const ExecReport report =
+          threaded ? exec::execute(program, quick_options())
+                   : sim::simulate_execution(program, quick_options());
+      EXPECT_EQ(report.fault.code, exec::FaultCode::kCountOverflow)
+          << report.fault.to_string();
+    }
   }
 }
 
@@ -229,8 +274,8 @@ TEST(IntegralSim, MatchesFluidUpToRampAndRounding) {
   // whole-message steady state must deliver at that same rate.
   const auto inst = platform::fig2_toy();
   const NoSplitRun run = run_no_split(inst);
-  const auto fluid = sim::simulate_flow_schedule(
-      inst.platform, run.plan.flow, run.plan.schedule, 40);
+  const auto fluid =
+      sim::simulate_schedule(inst.platform, run.plan.schedule, 40);
   ASSERT_TRUE(fluid.steady_state_reached);
   const num::Rational bound = run.plan.flow.throughput * fluid.horizon;
   EXPECT_GT((fluid.completed_operations / bound).to_double(), 0.85);

@@ -13,8 +13,7 @@
 #include "core/scatter_schedule.h"
 #include "core/tree_extract.h"
 #include "sim/oneport_check.h"
-#include "sim/reduce_sim.h"
-#include "sim/scatter_sim.h"
+#include "sim/fluid_sim.h"
 #include "testing/util.h"
 
 namespace ssco {
@@ -51,7 +50,7 @@ TEST_P(ScatterEndToEndTest, FullPipelineInvariants) {
   }
 
   // 4. Simulation: the pipeline fills and runs at exactly the LP rate.
-  auto result = sim::simulate_flow_schedule(inst.platform, flow, sched, 30);
+  auto result = sim::simulate_schedule(inst.platform, sched, 30);
   EXPECT_TRUE(result.steady_state_reached);
   double ratio = (result.completed_operations /
                   (flow.throughput * result.horizon))
@@ -94,7 +93,7 @@ TEST_P(ReduceEndToEndTest, FullPipelineInvariants) {
             "");
 
   // 4. Simulation converges to the LP rate.
-  auto result = sim::simulate_reduce_schedule(inst, sched, 40);
+  auto result = sim::simulate_schedule(inst.platform, sched, 40);
   EXPECT_TRUE(result.steady_state_reached);
   ASSERT_GE(result.completed_by_period.size(), 2u);
   Rational last_delta =
@@ -116,7 +115,7 @@ TEST(GossipEndToEnd, CompletePipelineOnRandomPlatform) {
   core::PeriodicSchedule sched =
       core::build_flow_schedule(inst.platform, flow);
   ASSERT_EQ(sim::check_oneport(sched, inst.platform, {inst.message_size}), "");
-  auto result = sim::simulate_flow_schedule(inst.platform, flow, sched, 25);
+  auto result = sim::simulate_schedule(inst.platform, sched, 25);
   EXPECT_TRUE(result.steady_state_reached);
 }
 
@@ -148,7 +147,7 @@ TEST(EndToEnd, Fig6FullReproduction) {
   EXPECT_EQ(sim::check_oneport(sched, inst.platform,
                                {inst.message_size, inst.task_work}),
             "");
-  auto result = sim::simulate_reduce_schedule(inst, sched, 30);
+  auto result = sim::simulate_schedule(inst.platform, sched, 30);
   EXPECT_TRUE(result.steady_state_reached);
 }
 

@@ -10,8 +10,7 @@
 #include "core/scatter_lp.h"
 #include "core/scatter_schedule.h"
 #include "core/tree_extract.h"
-#include "sim/reduce_sim.h"
-#include "sim/scatter_sim.h"
+#include "sim/fluid_sim.h"
 #include "testing/util.h"
 
 namespace ssco {
@@ -24,8 +23,7 @@ double scatter_efficiency(const platform::ScatterInstance& inst,
                           std::size_t periods) {
   auto flow = core::solve_scatter(inst);
   auto sched = core::build_flow_schedule(inst.platform, flow);
-  auto result =
-      sim::simulate_flow_schedule(inst.platform, flow, sched, periods);
+  auto result = sim::simulate_schedule(inst.platform, sched, periods);
   return (result.completed_operations / (flow.throughput * result.horizon))
       .to_double();
 }
@@ -50,7 +48,7 @@ TEST(AsymptoticOptimality, ScatterLossIsBoundedConstant) {
   auto flow = core::solve_scatter(inst);
   auto sched = core::build_flow_schedule(inst.platform, flow);
   auto run = [&](std::size_t periods) {
-    auto r = sim::simulate_flow_schedule(inst.platform, flow, sched, periods);
+    auto r = sim::simulate_schedule(inst.platform, sched, periods);
     return (flow.throughput * r.horizon - r.completed_operations).to_double();
   };
   double deficit64 = run(64);
@@ -63,7 +61,7 @@ double reduce_efficiency(const platform::ReduceInstance& inst,
   auto sol = core::solve_reduce(inst);
   auto trees = core::extract_trees(inst, sol);
   auto sched = core::build_reduce_schedule(inst, trees);
-  auto result = sim::simulate_reduce_schedule(inst, sched, periods);
+  auto result = sim::simulate_schedule(inst.platform, sched, periods);
   return (result.completed_operations / (sol.throughput * result.horizon))
       .to_double();
 }
@@ -85,7 +83,7 @@ TEST(AsymptoticOptimality, ReduceLossIsBoundedConstant) {
   auto trees = core::extract_trees(inst, sol);
   auto sched = core::build_reduce_schedule(inst, trees);
   auto deficit = [&](std::size_t periods) {
-    auto r = sim::simulate_reduce_schedule(inst, sched, periods);
+    auto r = sim::simulate_schedule(inst.platform, sched, periods);
     return (sol.throughput * r.horizon - r.completed_operations).to_double();
   };
   EXPECT_NEAR(deficit(60), deficit(240), 1e-9);

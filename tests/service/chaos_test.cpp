@@ -24,6 +24,7 @@
 
 #include "core/steady_state.h"
 #include "exec/faults.h"
+#include "exec/rate_limiter.h"
 #include "platform/delta.h"
 #include "platform/paper_instances.h"
 #include "service/metrics.h"
@@ -208,17 +209,22 @@ TEST(FaultInjectionTest, ChaosPlanSeverityTiersAreDeterministic) {
 // ---- rate limiting under faults (satellite: limiter edge cases) ------------
 
 TEST(RateLimiterTest, TokenBucketBurstSmallerThanOneChunkStillProgresses) {
-  const auto inst = platform::fig2_toy();
-  const auto plan = core::optimize_scatter(inst);
-  ExecOptions opt = quick_event_options();
-  // A burst allowance below a single chunk must degrade to strict pacing,
-  // not wedge admission (the limiter owes the bucket the deficit).
-  opt.burst_chunks = 0.25;
-  const ExecReport report =
-      sim::simulate_flow_execution(inst.platform, plan, opt);
-  EXPECT_TRUE(report.fault.ok()) << report.fault.to_string();
-  EXPECT_EQ(report.oneport_violations, 0u);
-  EXPECT_GT(report.operations, 0u);
+  // A chunk larger than the whole burst can never accumulate. It must be
+  // admitted once the bucket is full and borrow the deficit, so admission
+  // degrades to strict pacing instead of wedging.
+  exec::TokenBucket bucket(/*rate=*/100.0, /*burst=*/25.0);  // bytes/s, bytes
+  // Starts full: a 100-byte chunk goes at once and leaves 25 - 100 = -75.
+  EXPECT_EQ(bucket.ready_time(0.0, 100.0), 0.0);
+  bucket.consume(0.0, 100.0);
+  // The next one waits until the deficit is repaid and the bucket is full:
+  // 100 bytes at 100 bytes/s.
+  EXPECT_DOUBLE_EQ(bucket.ready_time(0.0, 100.0), 1.0);
+  EXPECT_DOUBLE_EQ(bucket.ready_time(0.5, 100.0), 1.0);
+  // A chunk within the burst waits only for its own bytes: (75 + 10) / 100.
+  EXPECT_DOUBLE_EQ(bucket.ready_time(0.0, 10.0), 0.85);
+  // Strict pacing from then on: one chunk per second.
+  bucket.consume(1.0, 100.0);
+  EXPECT_DOUBLE_EQ(bucket.ready_time(1.0, 100.0), 2.0);
 }
 
 TEST(RateLimiterTest, GcraPacingHoldsAfterLongAdmissionStall) {

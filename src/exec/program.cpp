@@ -177,34 +177,15 @@ ExecProgram compile(const FrontEnd& in, const core::PeriodicSchedule& schedule,
     program.actual_rate[e] = program.modeled_rate[e] * rate_scale(options, e);
   }
 
-  // Computations in schedule order, sliced into one piece per whole merge
-  // up to kMaxChunksPerTransfer. The count is clamped before it becomes an
-  // integer: a count past 2^64 has no size_t value.
-  program.comps.reserve(schedule.comps.size());
-  for (std::size_t i : schedule_order(schedule.comps)) {
-    const core::CompActivity& act = schedule.comps[i];
+  // Merges whose product reaches its sink complete operations locally.
+  for (const core::CompActivity& act : schedule.comps) {
     for (const std::size_t type : {act.left, act.right, act.product}) {
       check_type(type);
     }
-    ComputeTemplate c{act.node, act.left, act.right, act.product, act.count,
-                      {}};
-    const Rational unit_time = in.task_work / pf.node_speed(act.node);
-    const auto slices = static_cast<std::size_t>(
-        std::clamp(std::ceil(act.count.to_double()), 1.0,
-                   static_cast<double>(kMaxChunksPerTransfer)));
-    for (std::size_t s = 0; s < slices; ++s) {
-      ComputeSlice slice;
-      slice.count = act.count * Rational(1, static_cast<std::int64_t>(slices));
-      slice.seconds =
-          (slice.count * unit_time).to_double() * program.seconds_per_unit;
-      c.slices.push_back(std::move(slice));
+    if (program.sink_of_type[act.product] == act.node) {
+      arrived[act.product] += act.count;
     }
-    if (program.sink_of_type[c.product] == c.node) {
-      arrived[c.product] += c.count;
-    }
-    program.comps.push_back(std::move(c));
   }
-
   // An operation needs every sink type. Verify mode also needs each count
   // whole (message identity is whole).
   bool first = true;
@@ -235,8 +216,29 @@ ExecProgram compile(const FrontEnd& in, const core::PeriodicSchedule& schedule,
     program.out_order[t.src].push_back(i);
     program.in_order[t.dst].push_back(i);
   }
-  for (std::size_t i = 0; i < program.comps.size(); ++i) {
-    program.cpu_order[program.comps[i].node].push_back(i);
+
+  // Computations in schedule order, sliced into one piece per whole merge
+  // up to kMaxChunksPerTransfer. The count is clamped before it becomes an
+  // integer: a count past 2^64 has no size_t value.
+  program.comps.reserve(schedule.comps.size());
+  for (std::size_t i : schedule_order(schedule.comps)) {
+    const core::CompActivity& act = schedule.comps[i];
+    ComputeTemplate c{act.node, act.left, act.right, act.product, act.count,
+                      {}};
+    const Rational unit_time = in.task_work / pf.node_speed(act.node);
+    const auto slices = static_cast<std::size_t>(
+        std::clamp(std::ceil(act.count.to_double()), 1.0,
+                   static_cast<double>(kMaxChunksPerTransfer)));
+    c.slices.reserve(slices);
+    for (std::size_t s = 0; s < slices; ++s) {
+      ComputeSlice slice;
+      slice.count = act.count * Rational(1, static_cast<std::int64_t>(slices));
+      slice.seconds =
+          (slice.count * unit_time).to_double() * program.seconds_per_unit;
+      c.slices.push_back(std::move(slice));
+    }
+    program.cpu_order[c.node].push_back(program.comps.size());
+    program.comps.push_back(std::move(c));
   }
   return program;
 }
@@ -247,9 +249,9 @@ ExecProgram compile_flow_program(const platform::Platform& platform,
                                  const core::MultiFlow& flow,
                                  const core::PeriodicSchedule& schedule,
                                  const ExecOptions& options) {
-  const Rational no_work(1);
+  const Rational unit_work(1);  // flow schedules have no merges
   return compile({ExecProgram::Kind::kFlow, platform, flow.throughput,
-                  flow.message_size, no_work, /*verifiable=*/true,
+                  flow.message_size, unit_work, /*verifiable=*/true,
                   flow.commodities.size()},
                  schedule, options);
 }
@@ -258,10 +260,6 @@ ExecProgram compile_reduce_program(const platform::ReduceInstance& instance,
                                    const Rational& throughput,
                                    const core::PeriodicSchedule& schedule,
                                    const ExecOptions& options) {
-  // Message identity is a per-tree notion the aggregated reduce schedule
-  // deliberately drops; the reduce data model verifies legality
-  // structurally instead: only adjacent intervals ever merge (see exec
-  // tests).
   return compile({ExecProgram::Kind::kReduce, instance.platform, throughput,
                   instance.message_size, instance.task_work,
                   /*verifiable=*/false, instance.participants.size()},

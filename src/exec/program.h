@@ -188,7 +188,8 @@ struct ExecProgram {
 
 /// Compiles a reduce plan (schedule types are IntervalSpace interval ids).
 /// Never verified: message identity is per tree, which the aggregated
-/// schedule drops.
+/// schedule drops; legality is structural instead (only adjacent intervals
+/// ever merge).
 [[nodiscard]] ExecProgram compile_reduce_program(
     const platform::ReduceInstance& instance, const Rational& throughput,
     const core::PeriodicSchedule& schedule, const ExecOptions& options = {});

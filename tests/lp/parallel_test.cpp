@@ -16,7 +16,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -25,21 +24,13 @@
 #include "core/prefix_lp.h"
 #include "core/reduce_lp.h"
 #include "core/scatter_lp.h"
+#include "testing/pool.h"
 #include "testing/util.h"
 
 namespace ssco::lp {
 namespace {
 
-/// Helper-thread count for the pools the bit-identity sweeps inject.
-/// Overridable via SSCO_TEST_POOL_WORKERS so CI can run the same suite at
-/// the corners of the thread matrix (0 = fully inline, 8 = heavily
-/// concurrent under TSan); results must be identical at every setting.
-std::size_t test_pool_workers() {
-  if (const char* env = std::getenv("SSCO_TEST_POOL_WORKERS")) {
-    return static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
-  }
-  return 3;
-}
+using testing::test_pool_workers;
 
 // --- shard_range / shard_count: pure, deterministic splitting. ------------
 

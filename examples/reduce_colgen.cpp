@@ -129,12 +129,13 @@ int main(int argc, char** argv) {
   const ColgenPass serial = run_colgen(inst, 1);
   const ColgenPass parallel = run_colgen(inst, threads);
   const lp::ExactSolution& colgen = serial.solution;
+  const lp::ColGenRecord& record = colgen.colgen;
   std::printf("full model: %zu columns implicit; %zu ever materialized\n",
-              colgen.colgen_columns_total,
-              colgen.colgen_columns_seeded + colgen.colgen_columns_generated);
+              record.columns_total,
+              record.columns_seeded + record.columns_generated);
   std::printf("\n round | master cols | pivots | float objective\n");
-  for (std::size_t r = 0; r < colgen.colgen_round_log.size(); ++r) {
-    const auto& row = colgen.colgen_round_log[r];
+  for (std::size_t r = 0; r < record.round_log.size(); ++r) {
+    const auto& row = record.round_log[r];
     std::printf(" %5zu | %11zu | %6zu | %.9f\n", r, row.columns, row.pivots,
                 row.objective);
   }
@@ -144,8 +145,8 @@ int main(int argc, char** argv) {
       "the seed)\n",
       colgen.objective.to_string().c_str(), colgen.certified ? "yes" : "no",
       colgen.method.c_str(),
-      colgen.colgen_columns_seeded + colgen.colgen_columns_generated,
-      colgen.colgen_columns_total, colgen.colgen_columns_generated);
+      record.columns_seeded + record.columns_generated,
+      record.columns_total, record.columns_generated);
 
   // Per-phase wall-clock split, serial vs parallel. The serial-equal float
   // simplex phases (ftran/btran/pricing/factor) should match to noise;

@@ -789,12 +789,12 @@ ReduceSolution solve_interval_lp(
   out.lp_pivots = sol.float_iterations + sol.exact_iterations;
   out.lp_basis = std::move(context.warm);
   out.warm_started = sol.warm_started;
-  out.lp_colgen_rounds = sol.colgen_rounds;
-  out.lp_columns_generated = sol.colgen_columns_generated;
-  out.lp_columns_total = sol.colgen_columns_total;
-  out.lp_rows_active = sol.colgen_rows_active;
-  out.lp_rows_total = sol.colgen_rows_total;
-  out.lp_stab_rounds = sol.colgen_stab_rounds;
+  out.lp_colgen_rounds = sol.colgen.rounds;
+  out.lp_columns_generated = sol.colgen.columns_generated;
+  out.lp_columns_total = sol.colgen.columns_total;
+  out.lp_rows_active = sol.colgen.rows_active;
+  out.lp_rows_total = sol.colgen.rows_total;
+  out.lp_stab_rounds = sol.colgen.stab_rounds;
   out.lp_phase_times = sol.phase_times;
   out.prune_cycles(instance);
   return out;

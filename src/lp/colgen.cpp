@@ -1,7 +1,6 @@
 #include "lp/colgen.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -16,14 +15,6 @@
 namespace ssco::lp {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-std::uint64_t ns_since(Clock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
-          .count());
-}
 
 /// Pricing rounds before giving up and materializing the full model.
 constexpr std::size_t kMaxRounds = 64;
@@ -107,8 +98,8 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
                                         SolveContext* context) const {
   ExactSolution out;
   const std::size_t seeded = master.num_variables();
-  out.colgen_columns_seeded = seeded;
-  out.colgen_columns_total = oracle.total_columns();
+  out.colgen.columns_seeded = seeded;
+  out.colgen.columns_total = oracle.total_columns();
 
   if (context) {
     context->warm_attempted = false;
@@ -137,24 +128,17 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
       full_to_master[origins[mrow]] = mrow;
     }
     rows_active = origins.size();
-    out.colgen_rows_total = full_rows;
+    out.colgen.rows_total = full_rows;
   }
-  out.colgen_rows_active = rows_active;
 
   // Times of engines already torn down (an abandoned warm attempt); the
-  // live engine's cumulative clock is added on top at every exit. The
+  // live engine's cumulative clock is added on top at the exit. The
   // certification / pricing-sweep buckets are the driver's own (the engine
-  // never touches them) and are carried across the resync.
+  // never touches them).
   SolvePhaseTimes retired_times;
   std::uint64_t certify_ns = 0;
   std::uint64_t sweep_ns = 0;
   std::optional<RevisedSimplex> engine;
-  auto sync_times = [&] {
-    out.phase_times = retired_times;
-    if (engine) out.phase_times += engine->phase_times();
-    out.phase_times.certify_ns = certify_ns;
-    out.phase_times.pricing_sweep_ns = sweep_ns;
-  };
 
   // Master-row-space entries of a generated column (identity copy when the
   // oracle does not generate rows). Every full row referenced must already
@@ -173,100 +157,35 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
     return entries;
   };
 
-  // Correctness net for every inconclusive outcome: materialize the full
-  // model — all rows, all columns — and run the dense paths (which also own
-  // the exact infeasibility / unboundedness proofs). Column generation may
-  // only ever cost this fallback, never a wrong or silently-restricted
-  // answer.
-  auto full_fallback = [&]() -> ExactSolution {
-    sync_times();
-    out.colgen_columns_generated = master.num_variables() - seeded;
-    out.colgen_rows_active = rows_active;
-    if (rowgen) {
-      // The dense path re-expands the master from scratch, so the
-      // never-activated rows only need to exist in the MASTER (ascending
-      // full-row order keeps the completion deterministic).
-      for (std::size_t r = 0; r < full_rows; ++r) {
-        if (full_to_master[r] != kInactive) continue;
-        GeneratedRow spec = oracle.row_spec(r);
-        full_to_master[r] = master
-                                .add_constraint(LinearExpr{}, spec.sense,
-                                                spec.rhs, std::move(spec.name))
-                                .index;
-      }
-    }
-    std::vector<GeneratedColumn> rest;
-    oracle.materialize_all(rest);
-    for (GeneratedColumn& gc : rest) {
-      VarId v = master.add_column(gc.name, gc.objective,
-                                  row_entries(master_entries(gc)));
-      oracle.added(gc, v);
-    }
-    ExactSolution dense = solve_impl(master, context);
-    dense.float_iterations += out.float_iterations;
-    dense.exact_iterations += out.exact_iterations;
-    dense.phase_times += out.phase_times;
-    dense.colgen_rounds = out.colgen_rounds;
-    dense.colgen_columns_seeded = seeded;
-    dense.colgen_columns_generated = out.colgen_columns_generated;
-    dense.colgen_columns_total = out.colgen_columns_total;
-    dense.colgen_rows_active = out.colgen_rows_active;
-    dense.colgen_rows_total = out.colgen_rows_total;
-    dense.colgen_stab_rounds = out.colgen_stab_rounds;
-    dense.colgen_round_log = std::move(out.colgen_round_log);
-    dense.method = "colgen-fallback+" + dense.method;
-    record_solve(dense, context);
-    return dense;
-  };
-
   // --- Engine setup: warm replay of the context basis, else cold. ---------
   bool warm_live = false;
-  if (context && !context->warm.empty()) {
-    ColumnLayout layout = ColumnLayout::from(em);
-    if (auto columns = map_warm_basis(context->warm, master, em, layout)) {
-      context->warm_attempted = true;
-      engine.emplace(em, std::move(layout), /*defer_initial_factor=*/true,
-                     options_.simplex.equilibrate);
-      if (engine->load_basis(*columns)) {
-        SimplexOptions warm_options = options_.simplex;
-        warm_options.max_iterations = std::min(
-            warm_options.max_iterations, warm_pivot_budget(em.rows.size()));
-        std::vector<double> shifted = engine->phase2_costs();
-        context->cost_shifts = engine->make_dual_feasible(shifted);
-        std::size_t warm_iters = 0;
-        SolveStatus dual =
-            engine->dual_optimize(shifted, warm_options, warm_iters);
-        out.float_iterations += warm_iters;
-        // The first loop round's true-cost primal sweep repairs any dual-
-        // tolerance drift and resumes seamlessly into column generation; a
-        // boxed-at-upper vertex is the one state that sweep cannot price,
-        // so hand it back to the cold start.
-        warm_live = dual == SolveStatus::kOptimal && engine->ok() &&
-                    !engine->has_boxed_at_upper();
-      }
-      if (!warm_live) {
-        retired_times += engine->phase_times();
-        engine.reset();
-      }
+  ColumnLayout layout;
+  if (auto columns = warm_columns(context, master, em, layout)) {
+    engine.emplace(em, std::move(layout), /*defer_initial_factor=*/true);
+    std::size_t warm_iters = 0;
+    const SolveStatus dual =
+        engine->replay(*columns, warm_options(em.rows.size()), warm_iters,
+                       context->cost_shifts);
+    out.float_iterations += warm_iters;
+    // The first loop round's true-cost primal sweep repairs any dual-
+    // tolerance drift and resumes seamlessly into column generation; a
+    // boxed-at-upper vertex is the one state that sweep cannot price, so
+    // hand it back to the cold start.
+    warm_live = dual == SolveStatus::kOptimal && engine->ok() &&
+                !engine->has_boxed_at_upper();
+    if (!warm_live) {
+      retired_times += engine->phase_times();
+      engine.reset();
     }
   }
+  // An infeasible RESTRICTED master proves nothing — absent columns can
+  // restore feasibility — so any cold start short of a feasible basis goes
+  // to the dense fallback, where only the full model may judge.
+  bool live = warm_live;
   if (!engine) {
-    engine.emplace(em, ColumnLayout::from(em), /*defer_initial_factor=*/false,
-                   options_.simplex.equilibrate);
-    if (!engine->ok()) return full_fallback();
-    if (engine->has_artificials() &&
-        engine->infeasibility() > RevisedSimplex::kFeasTol) {
-      SolveStatus s1 = engine->optimize(engine->phase1_costs(),
-                                        options_.simplex,
-                                        out.float_iterations);
-      if (s1 == SolveStatus::kIterationLimit) return full_fallback();
-      if (engine->infeasibility() > RevisedSimplex::kFeasTol) {
-        // An infeasible RESTRICTED master proves nothing — absent columns
-        // can restore feasibility — so only the full model may judge.
-        return full_fallback();
-      }
-      engine->expel_artificials();
-    }
+    engine.emplace(em);
+    live = engine->cold_start(options_.simplex, out.float_iterations) ==
+           SolveStatus::kOptimal;
   }
 
   // Activates full row `r` across the whole stack: master, expanded model
@@ -327,7 +246,9 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
     return true;
   };
 
-  for (std::size_t round = 0; round < kMaxRounds; ++round) {
+  // Every inconclusive outcome leaves the loop with `certified` false.
+  bool certified = false;
+  for (std::size_t round = 0; live && round < kMaxRounds; ++round) {
     obs::SpanGuard round_span("colgen_round", "solver");
     round_span.set_arg(round);
     std::vector<double> cost = engine->phase2_costs();
@@ -343,7 +264,7 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
         round_options.max_iterations, out.float_iterations + round_budget);
     SolveStatus status =
         engine->optimize(cost, round_options, out.float_iterations);
-    out.colgen_round_log.push_back({master.num_variables(),
+    out.colgen.round_log.push_back({master.num_variables(),
                                     out.float_iterations - pivots_before,
                                     engine->objective_value(cost)});
     // A budget-capped round is NOT a failure: the current basis's duals
@@ -354,11 +275,11 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
     if (!round_optimal && (status != SolveStatus::kIterationLimit ||
                            out.float_iterations >=
                                options_.simplex.max_iterations)) {
-      return full_fallback();
+      break;
     }
     engine->refresh();
-    if (!engine->ok()) return full_fallback();
-    ++out.colgen_rounds;
+    if (!engine->ok()) break;
+    ++out.colgen.rounds;
 
     const std::vector<double> duals = engine->extract_duals(cost);
     // True pricing duals in the ORACLE's row space: full-model rows with
@@ -375,7 +296,7 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
     }
 
     // Smoothing center: adopt the duals of any strictly-improving round.
-    const double objective = out.colgen_round_log.back().objective;
+    const double objective = out.colgen.round_log.back().objective;
     bool center_updated = false;
     if (y_center.empty() || objective > center_objective) {
       y_center = y;
@@ -411,7 +332,7 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
     std::vector<std::pair<double, GeneratedColumn>> candidates;
     {
       OBS_SPAN("pricing_sweep");
-      const auto sweep_t0 = Clock::now();
+      const auto sweep_t0 = PhaseClock::now();
       // Smooth towards the center unless this round IS the center (then the
       // smoothed vector equals y and the pass would be a no-op duplicate).
       if (alpha > 0.0 && !center_updated) {
@@ -420,7 +341,7 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
           y_s[i] = alpha * y_center[i] + (1.0 - alpha) * y[i];
         }
         candidates = collect(y_s);
-        ++out.colgen_stab_rounds;
+        ++out.colgen.stab_rounds;
         if (candidates.empty()) {
           // Misprice: the smoothed duals see nothing, but only the TRUE
           // duals may conclude the round found nothing to add.
@@ -449,8 +370,7 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
       // was read BEFORE the append: new columns enter nonbasic at zero, so
       // it cannot change — and after the append `cost` no longer covers
       // every column.
-      if (!append_all(fresh)) return full_fallback();
-      out.colgen_columns_generated = master.num_variables() - seeded;
+      if (!append_all(fresh)) break;
       if (objective <=
           last_objective + 1e-12 * (1.0 + std::fabs(last_objective))) {
         if (++stagnant >= kStallRounds) {
@@ -471,66 +391,56 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
     // then let the exact sweep over the implicit column set have the final
     // word.
     SimplexResult<double> fp;
-    fp.status = SolveStatus::kOptimal;
-    fp.primal = engine->extract_primal();
-    fp.dual = duals;
-    fp.objective = engine->objective_value(cost);
-    fp.basis = engine->extract_basis();
+    engine->extract(cost, fp);
+    if (fp.status != SolveStatus::kOptimal) break;
 
-    ExactSolution candidate;
-    std::vector<Rational> exact_duals;
-    std::string method;
-    {
+    // The master's exact pair lands in `out` directly. It stands only if
+    // the checks below extend it to the complete model; every other exit
+    // overwrites it (next round's certificate or the dense fallback).
+    const CertificateAccept accept =
+        [&](std::vector<Rational>& primal, std::vector<Rational>& dual,
+            const char* rung) {
+          set_exact_optimum(out, em, primal, std::move(dual),
+                            std::string("colgen+") + rung);
+          return true;
+        };
+    bool proved = [&] {
       OBS_SPAN("certify");
-      const auto certify_t0 = Clock::now();
-      if (certify_float_result(em, fp, options_, candidate, par)) {
-        method = candidate.method == "double+certificate"
-                     ? "colgen+certificate"
-                     : "colgen+basis-verification";
-      } else if (options_.allow_exact_fallback &&
-                 em.rows.size() <= kExactMasterRowLimit) {
-        // Uncertifiable float optimum: the exact rational simplex on the
-        // (still small) restricted master recovers an exact pair.
-        SimplexResult<Rational> ex =
-            solve_simplex<Rational>(em, options_.simplex);
-        out.exact_iterations += ex.iterations;
-        if (ex.status != SolveStatus::kOptimal) {
-          certify_ns += ns_since(certify_t0);
-          return full_fallback();
-        }
-        candidate.status = SolveStatus::kOptimal;
-        candidate.primal = em.unshift(ex.primal);
-        candidate.dual = std::move(ex.dual);
-        candidate.objective = ex.objective + em.objective_constant;
-        candidate.certified = true;
-        fp.basis = ex.basis;
-        method = "colgen+exact-simplex";
-      } else {
-        certify_ns += ns_since(certify_t0);
-        return full_fallback();
-      }
+      const auto certify_t0 = PhaseClock::now();
+      const bool ok = certify_float_result(em, fp, accept, par);
       certify_ns += ns_since(certify_t0);
-      // Exact duals lifted to the oracle's row space; under row generation
-      // the zeros at inactive rows are exact by construction (the lifted
-      // pair's dual feasibility over absent columns is what the sweep below
-      // verifies).
-      if (rowgen) {
-        exact_duals.assign(full_rows, Rational(0));
-        for (std::size_t r = 0; r < full_rows; ++r) {
-          if (full_to_master[r] != kInactive) {
-            exact_duals[r] = candidate.dual[full_to_master[r]];
-          }
+      return ok;
+    }();
+    if (!proved && em.rows.size() <= kExactMasterRowLimit) {
+      // Uncertifiable float optimum: the exact rational simplex on the
+      // (still small) restricted master recovers an exact pair.
+      fp.basis = solve_exact_rung(em, options_.simplex, "colgen+exact-simplex",
+                                  out);
+      proved = out.status == SolveStatus::kOptimal;
+    }
+    if (!proved) break;
+
+    // Exact duals lifted to the oracle's row space; under row generation the
+    // zeros at inactive rows are exact by construction (the lifted pair's
+    // dual feasibility over absent columns is what the sweep below
+    // verifies).
+    std::vector<Rational> exact_duals;
+    if (rowgen) {
+      exact_duals.assign(full_rows, Rational(0));
+      for (std::size_t r = 0; r < full_rows; ++r) {
+        if (full_to_master[r] != kInactive) {
+          exact_duals[r] = out.dual[full_to_master[r]];
         }
-      } else {
-        exact_duals.assign(candidate.dual.begin(),
-                           candidate.dual.begin() + em.num_model_rows);
       }
+    } else {
+      exact_duals.assign(out.dual.begin(),
+                         out.dual.begin() + em.num_model_rows);
     }
 
     std::vector<GeneratedColumn> violated;
     {
       OBS_SPAN("pricing_sweep");
-      const auto exact_sweep_t0 = Clock::now();
+      const auto exact_sweep_t0 = PhaseClock::now();
       oracle.price_exact(exact_duals, std::max(kEmit, batch), violated);
       sweep_ns += ns_since(exact_sweep_t0);
     }
@@ -538,46 +448,82 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
       // The float duals were optimistic; the exact sweep caught it. Append
       // the witnesses and keep iterating — this is what makes the float
       // loop an accelerator rather than a correctness assumption.
-      if (!append_all(violated)) return full_fallback();
-      out.colgen_columns_generated = master.num_variables() - seeded;
+      if (!append_all(violated)) break;
       continue;
     }
 
-    if (rowgen) {
-      // The certificate extends to the complete model only if the zero
-      // extension satisfies every never-activated row (their duals are zero,
-      // so they contribute nothing to b'y and complementary slackness holds
-      // trivially). The interval skeletons pass by construction; a model
-      // that does not must be judged dense.
-      for (std::size_t r = 0; r < full_rows; ++r) {
-        if (full_to_master[r] == kInactive &&
-            !zero_feasible(oracle.row_spec(r))) {
-          return full_fallback();
-        }
+    // The certificate extends to the complete model only if the zero
+    // extension satisfies every never-activated row (their duals are zero,
+    // so they contribute nothing to b'y and complementary slackness holds
+    // trivially). The interval skeletons pass by construction; a model
+    // that does not must be judged dense.
+    bool zero_extension_holds = true;
+    for (std::size_t r = 0; rowgen && r < full_rows; ++r) {
+      if (full_to_master[r] == kInactive &&
+          !zero_feasible(oracle.row_spec(r))) {
+        zero_extension_holds = false;
+        break;
       }
     }
+    if (!zero_extension_holds) break;
 
     // Every absent column prices non-negative under the exact duals and
     // every inactive row holds at zero: the restricted certificate extends
     // to the complete model.
-    out.status = SolveStatus::kOptimal;
-    out.objective = std::move(candidate.objective);
-    out.primal = std::move(candidate.primal);
-    out.dual = rowgen ? std::move(exact_duals) : std::move(candidate.dual);
-    out.certified = true;
-    out.method = std::move(method);
+    if (rowgen) out.dual = std::move(exact_duals);
     out.warm_started = warm_live;
-    out.colgen_columns_generated = master.num_variables() - seeded;
-    out.colgen_rows_active = rows_active;
-    sync_times();
     if (context) {
       context->warm = capture_warm_start(master, fp.basis);
       context->warm_used = warm_live;
     }
-    record_solve(out, context);
-    return out;
+    certified = true;
+    break;
   }
-  return full_fallback();  // round budget exhausted
+
+  // The one exit: the record's columns generated, rows active and phase
+  // times are read here, before any dense fallback grows the master.
+  out.colgen.columns_generated = master.num_variables() - seeded;
+  out.colgen.rows_active = rows_active;
+  out.phase_times = retired_times;
+  if (engine) out.phase_times += engine->phase_times();
+  out.phase_times.certify_ns = certify_ns;
+  out.phase_times.pricing_sweep_ns = sweep_ns;
+  if (!certified) {
+    // Correctness net for every inconclusive outcome (including an
+    // exhausted round budget): materialize the full model — all rows, all
+    // columns — and run the dense paths (which also own the exact
+    // infeasibility / unboundedness proofs). Column generation may only
+    // ever cost this fallback, never a wrong or silently-restricted answer.
+    if (rowgen) {
+      // The dense path re-expands the master from scratch, so the
+      // never-activated rows only need to exist in the MASTER (ascending
+      // full-row order keeps the completion deterministic).
+      for (std::size_t r = 0; r < full_rows; ++r) {
+        if (full_to_master[r] != kInactive) continue;
+        GeneratedRow spec = oracle.row_spec(r);
+        full_to_master[r] = master
+                                .add_constraint(LinearExpr{}, spec.sense,
+                                                spec.rhs, std::move(spec.name))
+                                .index;
+      }
+    }
+    std::vector<GeneratedColumn> rest;
+    oracle.materialize_all(rest);
+    for (GeneratedColumn& gc : rest) {
+      VarId v = master.add_column(gc.name, gc.objective,
+                                  row_entries(master_entries(gc)));
+      oracle.added(gc, v);
+    }
+    ExactSolution dense = solve_impl(master, context);
+    dense.float_iterations += out.float_iterations;
+    dense.exact_iterations += out.exact_iterations;
+    dense.phase_times += out.phase_times;
+    dense.colgen = std::move(out.colgen);
+    dense.method = "colgen-fallback+" + dense.method;
+    out = std::move(dense);
+  }
+  record_solve(out, context);
+  return out;
 }
 
 }  // namespace ssco::lp

@@ -30,6 +30,16 @@ bool RevisedSimplex::load_basis(const std::vector<std::size_t>& columns) {
   return ok_;
 }
 
+SolveStatus RevisedSimplex::replay(const std::vector<std::size_t>& columns,
+                                   const SimplexOptions& opt,
+                                   std::size_t& iterations,
+                                   std::size_t& cost_shifts) {
+  if (!load_basis(columns)) return SolveStatus::kIterationLimit;
+  std::vector<double> shifted = phase2_costs();
+  cost_shifts = make_dual_feasible(shifted);
+  return dual_optimize(shifted, opt, iterations);
+}
+
 void RevisedSimplex::set_column_upper_bound(std::size_t col, double ub) {
   assert(col < num_cols_);
   assert(pos_of_col_[col] == kNone && !at_upper_[col]);
@@ -266,39 +276,31 @@ SimplexResult<double> solve_from_basis(
     const std::vector<std::size_t>& basis_columns,
     const SimplexOptions& options, DualSolveInfo* info) {
   SimplexResult<double> result;
-  // Defer the identity-basis factorization: load_basis replaces it anyway.
-  RevisedSimplex simplex(em, std::move(layout), /*defer_initial_factor=*/true,
-                         options.equilibrate);
-  if (!simplex.load_basis(basis_columns)) return result;  // caller goes cold
-
-  const std::vector<double> cost = simplex.phase2_costs();
-  std::vector<double> shifted = cost;
-  const std::size_t shifts = simplex.make_dual_feasible(shifted);
-  if (info) info->cost_shifts = shifts;
-
+  // Defer the identity-basis factorization: the replay loads its own.
+  RevisedSimplex simplex(em, std::move(layout), /*defer_initial_factor=*/true);
+  std::size_t shifts = 0;
   std::size_t dual_iters = 0;
-  const SolveStatus dual = simplex.dual_optimize(shifted, options, dual_iters);
-  result.iterations += dual_iters;
+  result.status = simplex.replay(basis_columns, options, dual_iters, shifts);
+  result.iterations = dual_iters;
   result.phase_times = simplex.phase_times();
-  if (info) info->dual_pivots = dual_iters;
-  if (dual != SolveStatus::kOptimal) {
-    result.status = dual;
-    return result;
+  if (info) {
+    info->cost_shifts = shifts;
+    info->dual_pivots = dual_iters;
   }
+  if (result.status != SolveStatus::kOptimal) return result;
 
   // Finish with true-cost primal pivots. Even a shift-free dual phase runs
   // this sweep: the dual ratio test maintains dual feasibility only up to
   // tolerance, and the final pricing pass repairs any drift cheaply (zero
   // pivots when the basis is genuinely optimal) — without it, drifted warm
   // optima fail the exact certificate and trigger the costly fallbacks.
+  const std::vector<double> cost = simplex.phase2_costs();
   if (simplex.has_boxed_at_upper()) {
-    if (shifts == 0) {
-      // Boxed columns parked at their upper bound are legitimate dual-
-      // simplex optima, but the bound-blind primal loop cannot touch them.
-      result.status = SolveStatus::kOptimal;
-    } else {
-      // Production models carry no finite boxes; hand crafted instances
-      // back to the cold path rather than miscompute.
+    // Boxed columns parked at their upper bound are legitimate dual-
+    // simplex optima, but the bound-blind primal loop cannot touch them.
+    // Production models carry no finite boxes; a shifted hand-crafted
+    // instance goes back to the cold path rather than miscompute.
+    if (shifts != 0) {
       result.status = SolveStatus::kIterationLimit;
       return result;
     }
@@ -311,25 +313,13 @@ SimplexResult<double> solve_from_basis(
             ? options.max_iterations - dual_iters
             : 0;
     std::size_t primal_iters = 0;
-    const SolveStatus primal =
-        simplex.optimize(cost, primal_options, primal_iters);
+    result.status = simplex.optimize(cost, primal_options, primal_iters);
     result.iterations += primal_iters;
     result.phase_times = simplex.phase_times();
     if (info) info->primal_pivots = primal_iters;
-    result.status = primal;
-    if (primal != SolveStatus::kOptimal) return result;
+    if (result.status != SolveStatus::kOptimal) return result;
   }
-
-  simplex.refresh();
-  if (!simplex.ok()) {
-    result.status = SolveStatus::kIterationLimit;
-    return result;
-  }
-  result.primal = simplex.extract_primal();
-  result.dual = simplex.extract_duals(cost);
-  result.objective = simplex.objective_value(cost);
-  result.basis = simplex.extract_basis();
-  result.phase_times = simplex.phase_times();
+  simplex.extract(cost, result);
   return result;
 }
 

@@ -23,29 +23,6 @@ SparseColumns SparseColumns::transposed() const {
   return t;
 }
 
-std::vector<Rational> SparseColumns::multiply(
-    const std::vector<Rational>& x) const {
-  std::vector<Rational> y(n, Rational(0));
-  for (std::size_t j = 0; j < n; ++j) {
-    if (x[j].is_zero()) continue;
-    for (const auto& [i, v] : cols[j]) {
-      y[i].add_product(v, x[j]);
-    }
-  }
-  return y;
-}
-
-std::vector<Rational> SparseColumns::multiply_transposed(
-    const std::vector<Rational>& y) const {
-  std::vector<Rational> x(n, Rational(0));
-  for (std::size_t j = 0; j < n; ++j) {
-    for (const auto& [i, v] : cols[j]) {
-      x[j].add_product(v, y[i]);
-    }
-  }
-  return x;
-}
-
 namespace {
 
 /// Floating-point image of the rational matrix, factored by the shared
@@ -97,52 +74,6 @@ constexpr std::size_t kMinReconstructPerShard = 8;
 constexpr std::size_t kMinColumnsPerShard = 32;
 constexpr std::size_t kMinElementsPerShard = 128;
 
-/// M * x with per-shard partial outputs merged shard-major — exact
-/// arithmetic makes every grouping produce the canonical value, so this is
-/// bit-identical to SparseColumns::multiply at any shard count.
-std::vector<Rational> multiply_parallel(const SparseColumns& m,
-                                        const std::vector<Rational>& x,
-                                        const Parallel& par) {
-  const std::size_t shards = par.shard_count(m.n, kMinColumnsPerShard);
-  if (shards <= 1) return m.multiply(x);
-  std::vector<ShardLocal<std::vector<Rational>>> partial(shards);
-  par.for_shards(m.n, kMinColumnsPerShard,
-                 [&](std::size_t shard, std::size_t begin, std::size_t end) {
-                   auto& y = partial[shard].value;
-                   y.assign(m.n, Rational(0));
-                   for (std::size_t j = begin; j < end; ++j) {
-                     if (x[j].is_zero()) continue;
-                     for (const auto& [i, v] : m.cols[j]) {
-                       y[i].add_product(v, x[j]);
-                     }
-                   }
-                 });
-  std::vector<Rational> y = std::move(partial[0].value);
-  for (std::size_t s = 1; s < shards; ++s) {
-    for (std::size_t i = 0; i < m.n; ++i) {
-      if (!partial[s].value[i].is_zero()) y[i] += partial[s].value[i];
-    }
-  }
-  return y;
-}
-
-/// M' * y: each output component is one independent column dot, so plain
-/// range sharding preserves bit-identity for free.
-std::vector<Rational> multiply_transposed_parallel(
-    const SparseColumns& m, const std::vector<Rational>& y,
-    const Parallel& par) {
-  std::vector<Rational> x(m.n, Rational(0));
-  par.for_shards(m.n, kMinColumnsPerShard,
-                 [&](std::size_t, std::size_t begin, std::size_t end) {
-                   for (std::size_t j = begin; j < end; ++j) {
-                     for (const auto& [i, v] : m.cols[j]) {
-                       x[j].add_product(v, y[i]);
-                     }
-                   }
-                 });
-  return x;
-}
-
 /// Refinement iterations before giving up (each gains ~50 bits).
 constexpr int kMaxRefinements = 80;
 /// Attempt rational reconstruction every this many refinements.
@@ -155,8 +86,8 @@ std::optional<std::vector<Rational>> refine_exact(
     const std::vector<Rational>& rhs, const Parallel& par = {}) {
   const std::size_t n = matrix.n;
   auto apply_exact = [&](const std::vector<Rational>& x) {
-    return transposed ? multiply_transposed_parallel(matrix, x, par)
-                      : multiply_parallel(matrix, x, par);
+    return transposed ? matrix.multiply_transposed(x, par)
+                      : matrix.multiply(x, par);
   };
 
   std::vector<Rational> x_acc(n, Rational(0));
@@ -242,6 +173,46 @@ std::optional<std::vector<Rational>> refine_exact(
 
 }  // namespace
 
+std::vector<Rational> SparseColumns::multiply(const std::vector<Rational>& x,
+                                              const Parallel& parallel) const {
+  // Shard 0 scatters straight into the result; the others into partials
+  // merged after it in shard order. At one shard that is the plain serial
+  // scatter, with no partial allocated.
+  const std::size_t shards = parallel.shard_count(n, kMinColumnsPerShard);
+  std::vector<Rational> y(n, Rational(0));
+  std::vector<ShardLocal<std::vector<Rational>>> partial(shards - 1);
+  parallel.for_shards(
+      n, kMinColumnsPerShard,
+      [&](std::size_t shard, std::size_t begin, std::size_t end) {
+        std::vector<Rational>& out = shard == 0 ? y : partial[shard - 1].value;
+        if (shard != 0) out.assign(n, Rational(0));
+        for (std::size_t j = begin; j < end; ++j) {
+          if (x[j].is_zero()) continue;
+          for (const auto& [i, v] : cols[j]) out[i].add_product(v, x[j]);
+        }
+      });
+  for (const auto& part : partial) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!part.value[i].is_zero()) y[i] += part.value[i];
+    }
+  }
+  return y;
+}
+
+std::vector<Rational> SparseColumns::multiply_transposed(
+    const std::vector<Rational>& y, const Parallel& parallel) const {
+  std::vector<Rational> x(n, Rational(0));
+  parallel.for_shards(n, kMinColumnsPerShard,
+                      [&](std::size_t, std::size_t begin, std::size_t end) {
+                        for (std::size_t j = begin; j < end; ++j) {
+                          for (const auto& [i, v] : cols[j]) {
+                            x[j].add_product(v, y[i]);
+                          }
+                        }
+                      });
+  return x;
+}
+
 std::optional<std::vector<Rational>> solve_sparse_exact(
     const SparseColumns& matrix, const std::vector<Rational>& rhs) {
   if (matrix.n != rhs.size()) return std::nullopt;
@@ -262,14 +233,6 @@ std::optional<ExactBasisSolves> solve_sparse_exact_pair(
 
   auto lu = factor_double_image(matrix);
   if (!lu) return std::nullopt;
-  if (parallel.is_serial()) {
-    auto straight = refine_exact(matrix, *lu, /*transposed=*/false, rhs);
-    if (!straight) return std::nullopt;
-    auto transposed =
-        refine_exact(matrix, *lu, /*transposed=*/true, rhs_transposed);
-    if (!transposed) return std::nullopt;
-    return ExactBasisSolves{std::move(*straight), std::move(*transposed)};
-  }
   // The two refinements are independent (each brings its own
   // BasisLu::Workspace; the LU is const-shared), so run them concurrently
   // and split the thread budget between their internal shard loops.

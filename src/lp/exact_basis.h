@@ -32,13 +32,17 @@ struct SparseColumns {
   std::vector<std::vector<std::pair<std::size_t, Rational>>> cols;
 
   [[nodiscard]] SparseColumns transposed() const;
-  /// Exact matrix-vector product M * x.
+  /// Exact matrix-vector product M * x. `parallel` shards the columns; each
+  /// shard scatters into its own partial sum, merged in shard order — exact
+  /// arithmetic makes every grouping the canonical value, so the product is
+  /// bit-identical at any budget.
   [[nodiscard]] std::vector<Rational> multiply(
-      const std::vector<Rational>& x) const;
+      const std::vector<Rational>& x, const Parallel& parallel = {}) const;
   /// Exact matrix-vector product M' * y (column-wise dots; no transpose
-  /// materialized).
+  /// materialized). Each output is one independent dot, so `parallel`
+  /// shards the columns without changing a bit.
   [[nodiscard]] std::vector<Rational> multiply_transposed(
-      const std::vector<Rational>& y) const;
+      const std::vector<Rational>& y, const Parallel& parallel = {}) const;
 };
 
 /// Solves M x = rhs exactly. Returns nullopt when M is numerically singular
@@ -56,9 +60,9 @@ struct ExactBasisSolves {
 /// `parallel` shards the per-component rational work (residuals,
 /// reconstruction, verification) and runs the two refinements concurrently
 /// (each with its own BasisLu::Workspace against the one shared const LU),
-/// splitting the thread budget between them. Every sharded loop is
-/// element-independent or merged with exact arithmetic, so the result is
-/// bit-identical to the serial solve at any budget.
+/// splitting the thread budget between them; serially they run one after
+/// the other. Every sharded loop is element-independent or merged with
+/// exact arithmetic, so the result is bit-identical at any budget.
 [[nodiscard]] std::optional<ExactBasisSolves> solve_sparse_exact_pair(
     const SparseColumns& matrix, const std::vector<Rational>& rhs,
     const std::vector<Rational>& rhs_transposed,

@@ -1,6 +1,6 @@
 #include "lp/exact_solver.h"
 
-#include <chrono>
+#include <atomic>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -17,13 +17,8 @@ namespace ssco::lp {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-std::uint64_t ns_since(Clock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
-          .count());
-}
+/// Denominator caps the ladder's rational reconstruction tries, in order.
+constexpr std::uint64_t kDenominatorCaps[] = {1u << 12, 1u << 20, 1u << 26};
 
 /// Shard granularity of the certification loops: each item is big-int
 /// rational work, so fairly fine shards still amortize the fork.
@@ -38,7 +33,7 @@ constexpr double kReconstructTolerance = 1e-6;
 /// serial scan.
 std::optional<std::vector<Rational>> reconstruct_vector(
     const std::vector<double>& values, std::uint64_t cap,
-    const Parallel& par = {}) {
+    const Parallel& par) {
   std::vector<Rational> out(values.size());
   const std::size_t shards = par.shard_count(values.size(), kMinCertifyPerShard);
   std::vector<ShardLocal<bool>> ok(shards);
@@ -73,7 +68,7 @@ struct BasisVerified {
 
 std::optional<BasisVerified> verify_from_basis(
     const ExpandedModel& em, const std::vector<BasisColumn>& basis,
-    const Parallel& par = {}) {
+    const Parallel& par) {
   const std::size_t m = em.rows.size();
   if (basis.size() != m) return std::nullopt;
 
@@ -139,74 +134,13 @@ std::optional<BasisVerified> verify_from_basis(
 
 bool ExactSolver::verify_certificate(const ExpandedModel& em,
                                      const std::vector<Rational>& x,
-                                     const std::vector<Rational>& y) {
-  if (x.size() != em.num_vars || y.size() != em.rows.size()) return false;
-
-  // Primal feasibility: x >= 0 (shifted space) and every row satisfied.
-  for (const Rational& xj : x) {
-    if (xj.is_negative()) return false;
-  }
-  for (std::size_t i = 0; i < em.rows.size(); ++i) {
-    Rational lhs(0);
-    for (const auto& [idx, coeff] : em.rows[i].coeffs) {
-      lhs.add_product(coeff, x[idx]);
-    }
-    switch (em.rows[i].sense) {
-      case Sense::kLessEqual:
-        if (lhs > em.rows[i].rhs) return false;
-        break;
-      case Sense::kEqual:
-        if (lhs != em.rows[i].rhs) return false;
-        break;
-      case Sense::kGreaterEqual:
-        if (lhs < em.rows[i].rhs) return false;
-        break;
-    }
-  }
-
-  // Dual sign conditions: <= rows need y >= 0, >= rows need y <= 0.
-  for (std::size_t i = 0; i < em.rows.size(); ++i) {
-    if (em.rows[i].sense == Sense::kLessEqual && y[i].is_negative())
-      return false;
-    if (em.rows[i].sense == Sense::kGreaterEqual && y[i].signum() > 0)
-      return false;
-  }
-
-  // Dual feasibility: for every variable j, sum_i y_i a_ij >= c_j
-  // (variables are >= 0 in expanded space).
-  std::vector<Rational> aty(em.num_vars, Rational(0));
-  for (std::size_t i = 0; i < em.rows.size(); ++i) {
-    if (y[i].is_zero()) continue;
-    for (const auto& [idx, coeff] : em.rows[i].coeffs) {
-      aty[idx].add_product(y[i], coeff);
-    }
-  }
-  for (std::size_t j = 0; j < em.num_vars; ++j) {
-    if (aty[j] < em.objective[j]) return false;
-  }
-
-  // Strong duality at the candidate pair: c'x == b'y exactly.
-  Rational primal_obj(0);
-  for (std::size_t j = 0; j < em.num_vars; ++j) {
-    if (!em.objective[j].is_zero()) primal_obj.add_product(em.objective[j], x[j]);
-  }
-  Rational dual_obj(0);
-  for (std::size_t i = 0; i < em.rows.size(); ++i) {
-    if (!y[i].is_zero()) dual_obj.add_product(y[i], em.rows[i].rhs);
-  }
-  return primal_obj == dual_obj;
-}
-
-bool ExactSolver::verify_certificate(const ExpandedModel& em,
-                                     const std::vector<Rational>& x,
                                      const std::vector<Rational>& y,
                                      const Parallel& parallel) {
-  if (parallel.is_serial()) return verify_certificate(em, x, y);
   if (x.size() != em.num_vars || y.size() != em.rows.size()) return false;
   const std::size_t m = em.rows.size();
-  const Parallel& par = parallel;
 
-  // Sign scans are cheap comparisons; keep them serial.
+  // Sign conditions: x >= 0 (shifted space); <= rows need y >= 0, >= rows
+  // need y <= 0.
   for (const Rational& xj : x) {
     if (xj.is_negative()) return false;
   }
@@ -217,104 +151,68 @@ bool ExactSolver::verify_certificate(const ExpandedModel& em,
       return false;
   }
 
-  // Primal feasibility: every row check is independent — shard the rows.
-  // The verdict is a conjunction, so evaluation order cannot change it.
-  {
-    const std::size_t shards = par.shard_count(m, kMinCertifyPerShard);
-    std::vector<ShardLocal<bool>> ok(shards);
-    par.for_shards(m, kMinCertifyPerShard,
-                   [&](std::size_t shard, std::size_t begin, std::size_t end) {
-                     bool all = true;
-                     Rational lhs;
-                     for (std::size_t i = begin; i < end && all; ++i) {
-                       lhs = Rational(0);
-                       for (const auto& [idx, coeff] : em.rows[i].coeffs) {
-                         lhs.add_product(coeff, x[idx]);
-                       }
-                       switch (em.rows[i].sense) {
-                         case Sense::kLessEqual:
-                           all = !(lhs > em.rows[i].rhs);
-                           break;
-                         case Sense::kEqual:
-                           all = lhs == em.rows[i].rhs;
-                           break;
-                         case Sense::kGreaterEqual:
-                           all = !(lhs < em.rows[i].rhs);
-                           break;
-                       }
-                     }
-                     ok[shard].value = all;
-                   });
-    for (const auto& flag : ok) {
-      if (!flag.value) return false;
-    }
-  }
+  // Primal feasibility, shard by shard over the rows. Every row check is
+  // independent and the verdict is a conjunction, so no shard order can
+  // change it; a failing row stops every shard early.
+  std::atomic<bool> ok{true};
+  parallel.for_shards(
+      m, kMinCertifyPerShard,
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        Rational lhs;
+        for (std::size_t i = begin;
+             i < end && ok.load(std::memory_order_relaxed); ++i) {
+          lhs = Rational(0);
+          for (const auto& [idx, coeff] : em.rows[i].coeffs) {
+            lhs.add_product(coeff, x[idx]);
+          }
+          bool holds = true;
+          switch (em.rows[i].sense) {
+            case Sense::kLessEqual:
+              holds = lhs <= em.rows[i].rhs;
+              break;
+            case Sense::kEqual:
+              holds = lhs == em.rows[i].rhs;
+              break;
+            case Sense::kGreaterEqual:
+              holds = lhs >= em.rows[i].rhs;
+              break;
+          }
+          if (!holds) ok.store(false, std::memory_order_relaxed);
+        }
+      });
+  if (!ok.load()) return false;
 
-  // Dual feasibility, A'y >= c per column: build a column view of the
-  // row-major model once (index/pointer copies only), then shard the
-  // per-column reduced-cost checks. Each column's dot runs in the same row
-  // order as the serial scatter — and is exact anyway.
-  {
-    std::vector<std::vector<std::pair<std::size_t, const Rational*>>> by_var(
-        em.num_vars);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (y[i].is_zero()) continue;
-      for (const auto& [idx, coeff] : em.rows[i].coeffs) {
-        by_var[idx].emplace_back(i, &coeff);
-      }
-    }
-    const std::size_t shards = par.shard_count(em.num_vars, kMinCertifyPerShard);
-    std::vector<ShardLocal<bool>> ok(shards);
-    par.for_shards(em.num_vars, kMinCertifyPerShard,
-                   [&](std::size_t shard, std::size_t begin, std::size_t end) {
-                     bool all = true;
-                     Rational aty;
-                     for (std::size_t j = begin; j < end && all; ++j) {
-                       aty = Rational(0);
-                       for (const auto& [i, coeff] : by_var[j]) {
-                         aty.add_product(y[i], *coeff);
-                       }
-                       all = !(aty < em.objective[j]);
-                     }
-                     ok[shard].value = all;
-                   });
-    for (const auto& flag : ok) {
-      if (!flag.value) return false;
-    }
-  }
+  // Dual feasibility, A'y >= c per variable (variables are >= 0 in expanded
+  // space). Each shard owns a range of variables and scatters the rows'
+  // entries that fall in it, in row order, so every sum is the one a serial
+  // scatter forms; at one shard this IS the serial scatter.
+  std::vector<Rational> aty(em.num_vars, Rational(0));
+  parallel.for_shards(
+      em.num_vars, kMinCertifyPerShard,
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t i = 0; i < m; ++i) {
+          if (y[i].is_zero()) continue;
+          for (const auto& [idx, coeff] : em.rows[i].coeffs) {
+            if (idx >= begin && idx < end) aty[idx].add_product(y[i], coeff);
+          }
+        }
+        for (std::size_t j = begin;
+             j < end && ok.load(std::memory_order_relaxed); ++j) {
+          if (aty[j] < em.objective[j]) {
+            ok.store(false, std::memory_order_relaxed);
+          }
+        }
+      });
+  if (!ok.load()) return false;
 
-  // Strong duality: per-shard exact partial objectives, merged shard-major
-  // (exact addition is associative, so the sums are canonical).
+  // Strong duality at the candidate pair: c'x == b'y exactly.
   Rational primal_obj(0);
+  for (std::size_t j = 0; j < em.num_vars; ++j) {
+    if (!em.objective[j].is_zero()) primal_obj.add_product(em.objective[j], x[j]);
+  }
   Rational dual_obj(0);
-  {
-    const std::size_t pshards = par.shard_count(em.num_vars, kMinCertifyPerShard);
-    std::vector<ShardLocal<Rational>> ppart(pshards);
-    par.for_shards(em.num_vars, kMinCertifyPerShard,
-                   [&](std::size_t shard, std::size_t begin, std::size_t end) {
-                     Rational sum(0);
-                     for (std::size_t j = begin; j < end; ++j) {
-                       if (!em.objective[j].is_zero()) {
-                         sum.add_product(em.objective[j], x[j]);
-                       }
-                     }
-                     ppart[shard].value = std::move(sum);
-                   });
-    for (auto& part : ppart) primal_obj += part.value;
-
-    const std::size_t dshards = par.shard_count(m, kMinCertifyPerShard);
-    std::vector<ShardLocal<Rational>> dpart(dshards);
-    par.for_shards(m, kMinCertifyPerShard,
-                   [&](std::size_t shard, std::size_t begin, std::size_t end) {
-                     Rational sum(0);
-                     for (std::size_t i = begin; i < end; ++i) {
-                       if (!y[i].is_zero()) {
-                         sum.add_product(y[i], em.rows[i].rhs);
-                       }
-                     }
-                     dpart[shard].value = std::move(sum);
-                   });
-    for (auto& part : dpart) dual_obj += part.value;
+  for (std::size_t i = 0; i < m; ++i) {
+    if (!y[i].is_zero()) dual_obj.add_product(y[i], em.rows[i].rhs);
   }
   return primal_obj == dual_obj;
 }
@@ -323,11 +221,11 @@ ExactSolution ExactSolver::solve(const Model& model) const {
   return solve(model, nullptr);
 }
 
-bool certify_float_result(const ExpandedModel& em,
-                          const SimplexResult<double>& fp,
-                          const ExactSolverOptions& options,
-                          ExactSolution& out, const Parallel& parallel) {
-  for (std::uint64_t cap : options.denominator_caps) {
+bool ExactSolver::certify_float_result(const ExpandedModel& em,
+                                       const SimplexResult<double>& fp,
+                                       const CertificateAccept& accept,
+                                       const Parallel& parallel) {
+  for (std::uint64_t cap : kDenominatorCaps) {
     auto x = reconstruct_vector(fp.primal, cap, parallel);
     auto y = reconstruct_vector(fp.dual, cap, parallel);
     if (!x || !y) continue;
@@ -335,40 +233,48 @@ bool certify_float_result(const ExpandedModel& em,
     for (Rational& v : *x) {
       if (v.is_negative()) v = Rational(0);
     }
-    if (ExactSolver::verify_certificate(em, *x, *y, parallel)) {
-      out.status = SolveStatus::kOptimal;
-      Rational obj(0);
-      for (std::size_t j = 0; j < em.num_vars; ++j) {
-        if (!em.objective[j].is_zero()) obj.add_product(em.objective[j], (*x)[j]);
-      }
-      out.primal = em.unshift(*x);
-      out.dual = std::move(*y);
-      out.objective = obj + em.objective_constant;
-      out.certified = true;
-      out.method = "double+certificate";
+    if (verify_certificate(em, *x, *y, parallel) &&
+        accept(*x, *y, "certificate")) {
       return true;
     }
   }
-  // Second stage: exact recovery from the optimal basis (degenerate optima
+  // Second rung: exact recovery from the optimal basis (degenerate optima
   // with large vertex denominators land here).
-  if (options.allow_basis_verification) {
-    if (auto verified = verify_from_basis(em, fp.basis, parallel)) {
-      out.status = SolveStatus::kOptimal;
-      Rational obj(0);
-      for (std::size_t j = 0; j < em.num_vars; ++j) {
-        if (!em.objective[j].is_zero()) {
-          obj.add_product(em.objective[j], verified->primal[j]);
-        }
-      }
-      out.primal = em.unshift(verified->primal);
-      out.dual = std::move(verified->dual);
-      out.objective = obj + em.objective_constant;
-      out.certified = true;
-      out.method = "double+basis-verification";
-      return true;
-    }
+  auto verified = verify_from_basis(em, fp.basis, parallel);
+  return verified &&
+         accept(verified->primal, verified->dual, "basis-verification");
+}
+
+void ExactSolver::set_exact_optimum(ExactSolution& out,
+                                    const ExpandedModel& em,
+                                    const std::vector<Rational>& x,
+                                    std::vector<Rational> y,
+                                    std::string method) {
+  Rational obj(0);
+  for (std::size_t j = 0; j < em.num_vars; ++j) {
+    if (!em.objective[j].is_zero()) obj.add_product(em.objective[j], x[j]);
   }
-  return false;
+  out.status = SolveStatus::kOptimal;
+  out.objective = obj + em.objective_constant;
+  out.primal = em.unshift(x);
+  out.dual = std::move(y);
+  out.certified = true;
+  out.method = std::move(method);
+}
+
+std::vector<BasisColumn> ExactSolver::solve_exact_rung(
+    const ExpandedModel& em, const SimplexOptions& options, std::string method,
+    ExactSolution& out) {
+  OBS_SPAN("exact_simplex");
+  SimplexResult<Rational> ex = solve_simplex<Rational>(em, options);
+  out.exact_iterations += ex.iterations;
+  if (ex.status != SolveStatus::kOptimal) {
+    out.status = ex.status;
+    out.method = std::move(method);
+    return {};
+  }
+  set_exact_optimum(out, em, ex.primal, std::move(ex.dual), std::move(method));
+  return std::move(ex.basis);
 }
 
 ExactSolution ExactSolver::solve(const Model& model,
@@ -385,6 +291,16 @@ Parallel ExactSolver::solve_parallel(const SolveContext* context) const {
   if (budget <= 1) return Parallel::serial();
   ThreadPool& pool = options_.pool ? *options_.pool : ThreadPool::shared();
   return Parallel::with(pool, budget);
+}
+
+std::optional<std::vector<std::size_t>> ExactSolver::warm_columns(
+    SolveContext* context, const Model& model, const ExpandedModel& em,
+    ColumnLayout& layout) {
+  if (!context || context->warm.empty()) return std::nullopt;
+  layout = ColumnLayout::from(em);
+  auto columns = map_warm_basis(context->warm, model, em, layout);
+  if (columns) context->warm_attempted = true;
+  return columns;
 }
 
 namespace {
@@ -455,13 +371,17 @@ void ExactSolver::record_solve(const ExactSolution& out,
   m.exact_pivots.add(out.exact_iterations);
   if (context && context->warm_attempted) m.warm_attempts.add(1);
   if (out.warm_started) m.warm_solves.add(1);
-  if (out.exact_iterations > 0) m.exact_fallbacks.add(1);
+  // The exact rung's label: a fallback counts even when the rational
+  // tableau proved its verdict without a pivot.
+  if (out.method.find("exact-simplex") != std::string::npos) {
+    m.exact_fallbacks.add(1);
+  }
   m.presolve_rows_removed.add(out.presolve_rows_removed);
   m.presolve_cols_removed.add(out.presolve_cols_removed);
-  if (out.colgen_rounds > 0 || out.colgen_columns_total > 0) {
+  if (out.colgen.rounds > 0 || out.colgen.columns_total > 0) {
     m.colgen_solves.add(1);
-    m.colgen_rounds.add(out.colgen_rounds);
-    m.colgen_columns_generated.add(out.colgen_columns_generated);
+    m.colgen_rounds.add(out.colgen.rounds);
+    m.colgen_columns_generated.add(out.colgen.columns_generated);
   }
   const SolvePhaseTimes& t = out.phase_times;
   m.ftran_ns.add(t.ftran_ns);
@@ -495,18 +415,26 @@ ExactSolution ExactSolver::solve_impl(const Model& model,
     }
   };
 
-  // Tries both exact certification paths on a float-optimal result; fills
-  // and returns `out` on success (certify_float_result above).
+  // The certificate ladder on a float optimum of `target`, billed to
+  // certify_ns.
   const Parallel par = solve_parallel(context);
-  auto certify = [&](const SimplexResult<double>& fp) -> bool {
+  auto certify = [&](const ExpandedModel& target,
+                     const SimplexResult<double>& fp,
+                     const CertificateAccept& accept) {
     OBS_SPAN("certify");
-    const auto t0 = Clock::now();
-    const bool ok = certify_float_result(em, fp, options_, out, par);
+    const auto t0 = PhaseClock::now();
+    const bool ok = certify_float_result(target, fp, accept, par);
     out.phase_times.certify_ns += ns_since(t0);
-    if (!ok) return false;
-    remember(fp.basis);
-    return true;
+    return ok;
   };
+  // Full-model hook: a verified pair is the answer as it stands.
+  const CertificateAccept accept_full =
+      [&](std::vector<Rational>& x, std::vector<Rational>& y,
+          const char* rung) {
+        set_exact_optimum(out, em, x, std::move(y),
+                          std::string("double+") + rung);
+        return true;
+      };
 
   // Warm attempt: replay the context basis through the dual simplex. ANY
   // inconclusive or non-optimal warm outcome — including a tolerance-level
@@ -515,37 +443,32 @@ ExactSolution ExactSolver::solve_impl(const Model& model,
   // (cheap) float solve, never a wrong answer and never an unnecessary
   // trip through the exact simplex.
   SimplexResult<double> fp;
-  if (context && !context->warm.empty()) {
+  ColumnLayout layout;
+  if (auto columns = warm_columns(context, model, em, layout)) {
     OBS_SPAN("warm");
-    ColumnLayout layout = ColumnLayout::from(em);
-    if (auto columns = map_warm_basis(context->warm, model, em, layout)) {
-      context->warm_attempted = true;
-      SimplexOptions warm_options = options_.simplex;
-      warm_options.max_iterations = std::min(
-          warm_options.max_iterations, warm_pivot_budget(em.rows.size()));
-      DualSolveInfo info;
-      SimplexResult<double> warm = solve_from_basis(
-          em, std::move(layout), *columns, warm_options, &info);
-      out.float_iterations += warm.iterations;
-      out.phase_times += warm.phase_times;
-      context->cost_shifts = info.cost_shifts;
-      if (warm.status == SolveStatus::kOptimal) {
-        if (certify(warm)) {
-          context->warm_used = true;
-          out.warm_started = true;
-          return out;
-        }
-      }
-      // Anything else — basis singular, stale past the pivot budget,
-      // numerically hopeless, or a float-level infeasible/unbounded
-      // verdict: fall through to the cold solve.
+    DualSolveInfo info;
+    SimplexResult<double> warm =
+        solve_from_basis(em, std::move(layout), *columns,
+                         warm_options(em.rows.size()), &info);
+    out.float_iterations += warm.iterations;
+    out.phase_times += warm.phase_times;
+    context->cost_shifts = info.cost_shifts;
+    if (warm.status == SolveStatus::kOptimal &&
+        certify(em, warm, accept_full)) {
+      remember(warm.basis);
+      context->warm_used = true;
+      out.warm_started = true;
+      return out;
     }
+    // Anything else — basis singular, stale past the pivot budget,
+    // numerically hopeless, or a float-level infeasible/unbounded verdict:
+    // fall through to the cold solve.
   }
 
   // Cold solve: exact presolve first, float solve and certification on the
   // REDUCED model, exact postsolve back to the full one. The lifted pair is
-  // re-verified against the full model below, so presolve can cost at most
-  // a fallback, never a wrong answer.
+  // re-verified against the full model, so presolve can cost at most a
+  // fallback, never a wrong answer.
   bool presolve_skip_cold = false;
   if (options_.presolve) {
     Presolved pre = [&] {
@@ -570,60 +493,25 @@ ExactSolution ExactSolver::solve_impl(const Model& model,
       }();
       out.float_iterations += fr.iterations;
       out.phase_times += fr.phase_times;
-
-      // Lifts an exact reduced-model optimum to the full model and runs
-      // the full certificate as the final gate.
-      auto lift_and_verify = [&](const std::vector<Rational>& x_reduced,
-                                 const std::vector<Rational>& y_reduced,
-                                 const std::vector<BasisColumn>& basis,
-                                 const char* method) -> bool {
-        Presolved::Lifted lifted =
-            pre.postsolve(x_reduced, y_reduced, basis);
-        if (!verify_certificate(em, lifted.primal, lifted.dual, par)) {
-          return false;
-        }
-        out.status = SolveStatus::kOptimal;
-        Rational obj(0);
-        for (std::size_t j = 0; j < em.num_vars; ++j) {
-          if (!em.objective[j].is_zero()) {
-            obj.add_product(em.objective[j], lifted.primal[j]);
-          }
-        }
-        out.primal = em.unshift(lifted.primal);
-        out.dual = std::move(lifted.dual);
-        out.objective = obj + em.objective_constant;
-        out.certified = true;
-        out.method = method;
-        remember(lifted.basis);
-        return true;
-      };
-
-      if (fr.status == SolveStatus::kOptimal) {
-        OBS_SPAN("certify");
-        const auto t0 = Clock::now();
-        for (std::uint64_t cap : options_.denominator_caps) {
-          auto x = reconstruct_vector(fr.primal, cap, par);
-          auto y = reconstruct_vector(fr.dual, cap, par);
-          if (!x || !y) continue;
-          for (Rational& v : *x) {
-            if (v.is_negative()) v = Rational(0);
-          }
-          if (!verify_certificate(pre.reduced, *x, *y, par)) continue;
-          if (lift_and_verify(*x, *y, fr.basis, "double+certificate")) {
-            out.phase_times.certify_ns += ns_since(t0);
-            return out;
-          }
-        }
-        if (options_.allow_basis_verification) {
-          if (auto verified = verify_from_basis(pre.reduced, fr.basis, par)) {
-            if (lift_and_verify(verified->primal, verified->dual, fr.basis,
-                                "double+basis-verification")) {
-              out.phase_times.certify_ns += ns_since(t0);
-              return out;
+      // Presolved hook: lift the reduced pair to the full model and take it
+      // only if the full certificate holds there too.
+      std::vector<BasisColumn> lifted_basis;
+      const CertificateAccept lift =
+          [&](std::vector<Rational>& x, std::vector<Rational>& y,
+              const char* rung) {
+            Presolved::Lifted lifted = pre.postsolve(x, y, fr.basis);
+            if (!verify_certificate(em, lifted.primal, lifted.dual, par)) {
+              return false;
             }
-          }
-        }
-        out.phase_times.certify_ns += ns_since(t0);
+            set_exact_optimum(out, em, lifted.primal, std::move(lifted.dual),
+                              std::string("double+") + rung);
+            lifted_basis = std::move(lifted.basis);
+            return true;
+          };
+      if (fr.status == SolveStatus::kOptimal &&
+          certify(pre.reduced, fr, lift)) {
+        remember(lifted_basis);
+        return out;
       }
       // Reduced-model certification failed (or the reduced float solve was
       // not optimal): fall through to the shared full-model paths. A
@@ -643,47 +531,27 @@ ExactSolution ExactSolver::solve_impl(const Model& model,
     }
     out.float_iterations += fp.iterations;
     out.phase_times += fp.phase_times;
-    if (fp.status == SolveStatus::kOptimal && certify(fp)) return out;
-  }
-
-  if (!options_.allow_exact_fallback) {
-    out.status = fp.status == SolveStatus::kOptimal
-                     ? SolveStatus::kIterationLimit
-                     : fp.status;
-    out.method = "double-only(uncertified)";
-    return out;
+    if (fp.status == SolveStatus::kOptimal && certify(em, fp, accept_full)) {
+      remember(fp.basis);
+      return out;
+    }
   }
 
   // Exact fallback. Also the path that *proves* infeasibility/unboundedness
   // reported by the double pass.
-  OBS_SPAN("exact_fallback");
-  SimplexResult<Rational> ex = solve_simplex<Rational>(em, options_.simplex);
-  out.exact_iterations = ex.iterations;
-  out.status = ex.status;
-  out.method = fp.status == SolveStatus::kOptimal ? "double+exact-simplex"
-                                                  : "exact-simplex";
-  if (ex.status != SolveStatus::kOptimal) return out;
-  out.primal = em.unshift(ex.primal);
-  out.dual = std::move(ex.dual);
-  out.objective = ex.objective + em.objective_constant;
-  out.certified = true;
-  remember(ex.basis);
+  remember(solve_exact_rung(em, options_.simplex,
+                            fp.status == SolveStatus::kOptimal
+                                ? "double+exact-simplex"
+                                : "exact-simplex",
+                            out));
   return out;
 }
 
 ExactSolution solve_exact_simplex(const Model& model,
                                   const SimplexOptions& options) {
   ExactSolution out;
-  ExpandedModel em = ExpandedModel::from(model);
-  SimplexResult<Rational> ex = solve_simplex<Rational>(em, options);
-  out.exact_iterations = ex.iterations;
-  out.status = ex.status;
-  out.method = "exact-simplex";
-  if (ex.status != SolveStatus::kOptimal) return out;
-  out.primal = em.unshift(ex.primal);
-  out.dual = std::move(ex.dual);
-  out.objective = ex.objective + em.objective_constant;
-  out.certified = true;
+  (void)ExactSolver::solve_exact_rung(ExpandedModel::from(model), options,
+                                      "exact-simplex", out);
   return out;
 }
 

@@ -8,23 +8,38 @@
 // thousand-variable LP purely in rational arithmetic is slow, so we use the
 // classic certify-after-float scheme (as in QSopt_ex / exact SCIP):
 //
-//   1. solve in double precision (fast dense two-phase simplex);
-//   2. round primal and dual solutions to rationals via continued fractions
-//      (num/reconstruct.h) with a growing denominator cap;
-//   3. verify an exact optimality certificate: primal feasibility, dual
-//      feasibility, and exact equality of the primal and dual objectives
-//      (weak duality turns that equality into a proof of optimality);
-//   3b. if rounding fails (degenerate vertices with huge denominators),
-//      recover the exact basic solution from the final basis: solve
-//      B x_B = b and B' y = c_B exactly via double-LU + exact iterative
-//      refinement + rational reconstruction (lp/exact_basis.h), then verify
-//      the same certificate;
-//   4. on failure, fall back to the exact rational simplex.
+//   1. solve in double precision with the sparse revised simplex
+//      (lp/revised_simplex.h): warm from the SolveContext's basis through
+//      the dual simplex when it holds one (lp/dual_simplex.h); cold
+//      otherwise, or when the warm optimum does not certify — first on the
+//      exact presolve's reduced model (lp/presolve.h), then on the full
+//      model when the reduced one does not certify. Column generation
+//      (lp/colgen.h) solves a growing restricted master instead;
+//   2. run the certificate ladder on the float optimum:
+//      a. round primal and duals to rationals by continued fractions
+//         (num/reconstruct.h) at a growing denominator cap, and verify an
+//         exact optimality certificate — primal feasibility, dual
+//         feasibility and c'x == b'y (weak duality turns that equality into
+//         a proof of optimality);
+//      b. when rounding fails (degenerate vertices with huge denominators),
+//         recover the exact basic solution from the final basis — solve
+//         B x_B = b and B' y = c_B by double LU + exact iterative refinement
+//         + rational reconstruction (lp/exact_basis.h) — and verify the
+//         same certificate;
+//      each verified pair goes to the caller's accept hook, which takes it
+//      as is on the full model, lifts and re-verifies it on a presolved
+//      one, and under column generation takes the master's pair, which an
+//      exact pricing sweep then extends to the implicit model;
+//   3. when every rung fails, or the float pass ends infeasible, unbounded
+//      or at its iteration limit, solve with the exact rational simplex
+//      (the one exact rung).
 //
-// The result is bit-exact and carries a `certified` flag describing which
-// path proved it.
+// The result is bit-exact; `method` names the path that proved it.
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,44 +59,57 @@ struct ColGenRoundStat {
   double objective = 0.0;
 };
 
+/// Column-generation telemetry of one solve (lp/colgen.h); all zero for
+/// dense solves.
+struct ColGenRecord {
+  std::size_t rounds = 0;
+  /// `columns_total` counts the IMPLICIT full model's columns, so total -
+  /// seeded - generated columns were priced out without ever being
+  /// materialized.
+  std::size_t columns_seeded = 0;
+  std::size_t columns_generated = 0;
+  std::size_t columns_total = 0;
+  /// Row generation: rows of the implicit full model and how many the
+  /// master had activated when the loop ended. Both zero when the oracle
+  /// does not generate rows (then the master always holds every row).
+  std::size_t rows_active = 0;
+  std::size_t rows_total = 0;
+  /// Pricing rounds that priced at Wentges-smoothed duals
+  /// (ColGenOptions::stabilization).
+  std::size_t stab_rounds = 0;
+  /// Per-round trace of the restricted master's growth.
+  std::vector<ColGenRoundStat> round_log;
+};
+
 struct ExactSolution {
   SolveStatus status = SolveStatus::kIterationLimit;
   /// Exact optimal objective value (valid when status == kOptimal).
   Rational objective;
   /// Exact optimal point in the ORIGINAL variable space of the Model.
   std::vector<Rational> primal;
-  /// Exact duals per expanded row (model rows first, bound rows after);
-  /// empty when the exact-simplex fallback produced the solution directly.
+  /// Exact duals per expanded row (model rows first, bound rows after;
+  /// under row generation, per row of the implicit full model), filled on
+  /// every optimal path.
   std::vector<Rational> dual;
   /// True when optimality was proven by an exact primal/dual certificate or
   /// by the exact simplex itself.
   bool certified = false;
-  /// "double+certificate", "double+basis-verification", "exact-simplex",
-  /// or "double+exact-simplex".
+  /// The path that produced the result: "double+certificate",
+  /// "double+basis-verification" or "double+exact-simplex" after a float
+  /// optimum; "exact-simplex" when the float pass ended infeasible,
+  /// unbounded or at its iteration limit; "presolve" for an infeasibility
+  /// the exact presolve proved; "colgen+certificate",
+  /// "colgen+basis-verification" or "colgen+exact-simplex" from column
+  /// generation, and "colgen-fallback+" before the dense method when it
+  /// fell back to the materialized full model. solve_exact_simplex reports
+  /// "exact-simplex".
   std::string method;
   std::size_t float_iterations = 0;
   std::size_t exact_iterations = 0;
   /// True when the float pass was a warm re-solve from a previous basis
   /// (lp/dual_simplex.h) instead of a cold two-phase solve.
   bool warm_started = false;
-  /// Column-generation telemetry (lp/colgen.h); all zero for dense solves.
-  /// `colgen_columns_total` counts the IMPLICIT full model's columns, so
-  /// total - seeded - generated columns were priced out without ever being
-  /// materialized.
-  std::size_t colgen_rounds = 0;
-  std::size_t colgen_columns_seeded = 0;
-  std::size_t colgen_columns_generated = 0;
-  std::size_t colgen_columns_total = 0;
-  /// Row generation (lp/colgen.h): rows of the implicit full model and how
-  /// many the master had activated when the loop ended. Both zero when the
-  /// oracle does not generate rows (then the master always holds every row).
-  std::size_t colgen_rows_active = 0;
-  std::size_t colgen_rows_total = 0;
-  /// Pricing rounds that priced at Wentges-smoothed duals
-  /// (ColGenOptions::stabilization).
-  std::size_t colgen_stab_rounds = 0;
-  /// Per-round trace of the restricted master's growth (colgen solves only).
-  std::vector<ColGenRoundStat> colgen_round_log;
+  ColGenRecord colgen;
   /// Rows/columns the exact presolve removed before the float solve
   /// (lp/presolve.h); zero when presolve was off or found nothing.
   std::size_t presolve_rows_removed = 0;
@@ -110,16 +138,6 @@ struct SolveContext {
 };
 
 struct ExactSolverOptions {
-  /// Denominator caps tried, in order, when reconstructing rationals from the
-  /// double solution.
-  std::vector<std::uint64_t> denominator_caps = {1u << 12, 1u << 20, 1u << 26};
-  /// Allow recovering the exact solution from the optimal double basis
-  /// (double LU + exact iterative refinement; handles degenerate vertices
-  /// whose coordinates have huge denominators).
-  bool allow_basis_verification = true;
-  /// Allow falling back to the exact rational simplex (can be slow on large
-  /// instances but is always correct).
-  bool allow_exact_fallback = true;
   /// Run the exact presolve (lp/presolve.h) before a cold float solve and
   /// certify against the REDUCED model; the lifted full-model pair is
   /// re-verified, so presolve can never cost correctness. Warm re-solves
@@ -198,33 +216,75 @@ class ExactSolver {
 
   /// Verifies an exact primal/dual optimality certificate for the expanded
   /// model: returns true iff `x` is primal feasible, `y` is dual feasible,
-  /// and c'x == b'y (all exact). Exposed for tests.
-  [[nodiscard]] static bool verify_certificate(const ExpandedModel& em,
-                                               const std::vector<Rational>& x,
-                                               const std::vector<Rational>& y);
-  /// Same, sharding the per-row feasibility checks and per-column
-  /// reduced-cost checks across `parallel` (bit-identical verdict — every
-  /// check is independent and the objective partials combine exactly).
+  /// and c'x == b'y (all exact). `parallel` shards the per-row feasibility
+  /// checks and the per-column reduced-cost checks; the verdict is the same
+  /// at every budget, because every check is independent.
   [[nodiscard]] static bool verify_certificate(const ExpandedModel& em,
                                                const std::vector<Rational>& x,
                                                const std::vector<Rational>& y,
-                                               const Parallel& parallel);
+                                               const Parallel& parallel = {});
 
   [[nodiscard]] const ExactSolverOptions& options() const { return options_; }
 
  private:
+  friend ExactSolution solve_exact_simplex(const Model& model,
+                                           const SimplexOptions& options);
+
+  /// Takes one verified exact pair — shifted-space primal and dual of the
+  /// model the ladder runs on — with the rung that produced it
+  /// ("certificate" or "basis-verification"). Returns true to accept it, and
+  /// may then move from the pair; false lets the next rung run.
+  using CertificateAccept = std::function<bool(
+      std::vector<Rational>& primal, std::vector<Rational>& dual,
+      const char* rung)>;
+
+  /// The certificate ladder on a float-OPTIMAL SimplexResult for `em`:
+  /// rational reconstruction of the float primal/dual pair at each
+  /// denominator cap (2^12, 2^20, 2^26), clamped and verified, then exact
+  /// recovery from the optimal basis (lp/exact_basis.h), verified. Each
+  /// verified pair goes to `accept`; the ladder stops at the first pair it
+  /// takes and returns true, false when every rung failed or was refused.
+  /// Shared by the cold, warm, presolved and column-generation paths.
+  [[nodiscard]] static bool certify_float_result(
+      const ExpandedModel& em, const SimplexResult<double>& fp,
+      const CertificateAccept& accept, const Parallel& parallel);
+
+  /// Fills `out` from an exact optimal pair of `em` (`x` in shifted space):
+  /// status kOptimal, objective c'x plus the shift constant, the unshifted
+  /// primal, the dual, certified, and `method`.
+  static void set_exact_optimum(ExactSolution& out, const ExpandedModel& em,
+                                const std::vector<Rational>& x,
+                                std::vector<Rational> y, std::string method);
+
+  /// The exact rung: solves `em` with the rational simplex and records it
+  /// in `out` — exact pivots added, status and `method`, and the exact
+  /// optimum (set_exact_optimum) when it reaches one. Returns the final
+  /// basis (empty unless optimal).
+  static std::vector<BasisColumn> solve_exact_rung(
+      const ExpandedModel& em, const SimplexOptions& options,
+      std::string method, ExactSolution& out);
+
   [[nodiscard]] ExactSolution solve_impl(const Model& model,
                                          SolveContext* context) const;
   /// Resolves this solve's Parallel handle: the context's thread budget if
   /// set, else the options', on the injected pool or the shared one.
   [[nodiscard]] Parallel solve_parallel(const SolveContext* context) const;
-  /// Pivot budget for a warm-started float pass before giving up and going
-  /// cold: 2m + 100 for an m-row expanded model. A stale basis on a heavily
-  /// mutated platform can cost more pivots than a cold solve; the budget
-  /// bounds the downside of trying.
-  [[nodiscard]] static std::size_t warm_pivot_budget(std::size_t rows) {
-    return 2 * rows + 100;
+  /// Simplex options of a warm replay: the pivot budget before giving up
+  /// and going cold is 2m + 100 for an m-row expanded model. A stale basis
+  /// on a heavily mutated platform can cost more pivots than a cold solve;
+  /// the budget bounds the downside of trying.
+  [[nodiscard]] SimplexOptions warm_options(std::size_t rows) const {
+    SimplexOptions o = options_.simplex;
+    o.max_iterations = std::min(o.max_iterations, 2 * rows + 100);
+    return o;
   }
+  /// Resolves the context's warm basis against `em` (map_warm_basis) under
+  /// the column layout it builds into `layout`, and records the attempt in
+  /// the context; nullopt when the context holds no basis or it does not
+  /// map.
+  [[nodiscard]] static std::optional<std::vector<std::size_t>> warm_columns(
+      SolveContext* context, const Model& model, const ExpandedModel& em,
+      ColumnLayout& layout);
   /// Adds one finished solve to the process-wide registry (shared by
   /// solve() and solve_colgen()).
   static void record_solve(const ExactSolution& solution,
@@ -232,19 +292,6 @@ class ExactSolver {
 
   ExactSolverOptions options_;
 };
-
-/// Runs the exact certification ladder — rational reconstruction of the
-/// float primal/dual pair at the configured denominator caps, then exact
-/// recovery from the optimal basis (lp/exact_basis.h) — on a float-OPTIMAL
-/// SimplexResult for `em`. On success fills `out`'s status / objective /
-/// primal (original variable space) / dual / certified / method and
-/// returns true; `out` is untouched on failure. Shared by ExactSolver's
-/// cold, warm and column-generation paths.
-[[nodiscard]] bool certify_float_result(const ExpandedModel& em,
-                                        const SimplexResult<double>& fp,
-                                        const ExactSolverOptions& options,
-                                        ExactSolution& out,
-                                        const Parallel& parallel = {});
 
 /// Convenience: solve `model` purely with the exact rational simplex
 /// (no floating-point involved). Used as ground truth in tests.

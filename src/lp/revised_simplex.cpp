@@ -1,7 +1,6 @@
 #include "lp/revised_simplex.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -12,20 +11,8 @@
 
 namespace ssco::lp {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-std::uint64_t ns_since(Clock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
-          .count());
-}
-
-}  // namespace
-
 RevisedSimplex::RevisedSimplex(const ExpandedModel& em, ColumnLayout layout,
-                               bool defer_initial_factor, bool equilibrate)
+                               bool defer_initial_factor)
     : em_(em), layout_(std::move(layout)) {
   const std::size_t m = em.rows.size();
   const std::size_t n = em.num_vars;
@@ -33,24 +20,21 @@ RevisedSimplex::RevisedSimplex(const ExpandedModel& em, ColumnLayout layout,
   num_cols_ = layout_.num_cols;
   build_num_vars_ = n;
 
-  equilibrate_ = equilibrate;
   row_scale_.assign(m, 1.0);
   col_scale_.assign(num_cols_, 1.0);
-  if (equilibrate) {
-    Equilibration eq = Equilibration::geometric_mean(em);
-    if (!eq.identity) {
-      row_scale_ = std::move(eq.row_scale);
-      for (std::size_t j = 0; j < n; ++j) col_scale_[j] = eq.col_scale[j];
-      // Slack and artificial columns counter-scale so they stay exactly ±1:
-      // the identity start basis and every eta built on it keep the
-      // conditioning the equilibration just bought.
-      for (std::size_t i = 0; i < m; ++i) {
-        if (layout_.slack_col[i] != kNone) {
-          col_scale_[layout_.slack_col[i]] = 1.0 / row_scale_[i];
-        }
-        if (layout_.art_col[i] != kNone) {
-          col_scale_[layout_.art_col[i]] = 1.0 / row_scale_[i];
-        }
+  Equilibration eq = Equilibration::geometric_mean(em);
+  if (!eq.identity) {
+    row_scale_ = std::move(eq.row_scale);
+    for (std::size_t j = 0; j < n; ++j) col_scale_[j] = eq.col_scale[j];
+    // Slack and artificial columns counter-scale so they stay exactly ±1:
+    // the identity start basis and every eta built on it keep the
+    // conditioning the equilibration just bought.
+    for (std::size_t i = 0; i < m; ++i) {
+      if (layout_.slack_col[i] != kNone) {
+        col_scale_[layout_.slack_col[i]] = 1.0 / row_scale_[i];
+      }
+      if (layout_.art_col[i] != kNone) {
+        col_scale_[layout_.art_col[i]] = 1.0 / row_scale_[i];
       }
     }
   }
@@ -129,7 +113,7 @@ std::vector<double> RevisedSimplex::phase2_costs() const {
 const Support& RevisedSimplex::ftran_column(std::size_t j) {
   work_.resize(m_);
   A_.scatter_column(j, work_, work_rows_);
-  const auto t0 = Clock::now();
+  const auto t0 = PhaseClock::now();
   const Support& nonzeros = lu_->ftran(work_, work_rows_, lu_ws_);
   times_.ftran_ns += ns_since(t0);
   return nonzeros;
@@ -140,7 +124,7 @@ void RevisedSimplex::clear_work(const Support& nonzeros) {
 }
 
 void RevisedSimplex::timed_btran(std::vector<double>& x) {
-  const auto t0 = Clock::now();
+  const auto t0 = PhaseClock::now();
   lu_->btran(x, lu_ws_);
   times_.btran_ns += ns_since(t0);
 }
@@ -213,6 +197,44 @@ SolveStatus RevisedSimplex::optimize(const std::vector<double>& cost,
 
 void RevisedSimplex::refresh() {
   if (lu_->updates() > 0) ok_ = refactor();
+}
+
+SolveStatus RevisedSimplex::cold_start(const SimplexOptions& opt,
+                                       std::size_t& iterations) {
+  if (!ok_) return SolveStatus::kIterationLimit;
+  // Zero-RHS == rows (flow conservation, throughput coupling — the bulk of
+  // every steady-state model here) start with their artificial basic at
+  // exactly zero, so the identity basis is already primal feasible and the
+  // whole phase-1 pivot storm plus the eager artificial expulsion would be
+  // pure degenerate churn. Skip both: the artificials stay basic at zero
+  // behind their zero upper bound, and the bounded ratio test retires one
+  // the moment a phase-2 step would lift it.
+  if (!has_artificials() || infeasibility() <= kFeasTol) {
+    return SolveStatus::kOptimal;
+  }
+  OBS_SPAN("phase1");
+  if (optimize(phase1_costs(), opt, iterations) ==
+      SolveStatus::kIterationLimit) {
+    return SolveStatus::kIterationLimit;
+  }
+  if (infeasibility() > kFeasTol) return SolveStatus::kInfeasible;
+  expel_artificials();
+  return SolveStatus::kOptimal;
+}
+
+void RevisedSimplex::extract(const std::vector<double>& cost,
+                             SimplexResult<double>& result) {
+  refresh();
+  if (ok_) {
+    result.status = SolveStatus::kOptimal;
+    result.primal = extract_primal();
+    result.dual = extract_duals(cost);
+    result.objective = objective_value(cost);
+    result.basis = extract_basis();
+  } else {
+    result.status = SolveStatus::kIterationLimit;
+  }
+  result.phase_times = times_;
 }
 
 double RevisedSimplex::infeasibility() const {
@@ -309,8 +331,7 @@ std::size_t RevisedSimplex::append_column(
     ok_ = false;
     return kNone;
   }
-  const double cs =
-      equilibrate_ ? column_equilibration_factor(entries, row_scale_) : 1.0;
+  const double cs = column_equilibration_factor(entries, row_scale_);
   std::vector<CscMatrix::Entry> scaled;
   scaled.reserve(entries.size());
   for (const auto& [i, coeff] : entries) {
@@ -417,7 +438,7 @@ void RevisedSimplex::compute_multipliers(const std::vector<double>& cost) {
 }
 
 std::size_t RevisedSimplex::pick_dantzig(const std::vector<double>& cost) {
-  const auto t0 = Clock::now();
+  const auto t0 = PhaseClock::now();
   // Multiple pricing (Orchard-Hays): a MAJOR full sweep collects the most
   // negative reduced-cost columns into a candidate list; MINOR iterations
   // then price only those few dozen columns against the fresh multipliers
@@ -485,7 +506,7 @@ std::size_t RevisedSimplex::pick_dantzig(const std::vector<double>& cost) {
 }
 
 std::size_t RevisedSimplex::pick_bland(const std::vector<double>& cost) {
-  const auto t0 = Clock::now();
+  const auto t0 = PhaseClock::now();
   std::size_t found = kNone;
   for (std::size_t j = 0; j < num_cols_; ++j) {
     if (pos_of_col_[j] != kNone || barred_[j]) continue;
@@ -601,7 +622,7 @@ bool RevisedSimplex::refactor() {
   // resetting accumulated floating-point drift. Nonbasic columns parked at
   // a finite upper bound contribute like a shifted right-hand side.
   OBS_SPAN("factor");
-  const auto t0 = Clock::now();
+  const auto t0 = PhaseClock::now();
   // Fill-reducing preorder: on these steady-state bases it cuts L+U fill
   // multi-fold, and every FTRAN/BTRAN and the refactorization itself are
   // priced by that fill. Engine-level policy (see BasisLu::Options).
@@ -633,53 +654,19 @@ bool RevisedSimplex::refactor() {
 SimplexResult<double> solve_revised_simplex(const ExpandedModel& em,
                                             const SimplexOptions& options) {
   SimplexResult<double> result;
-  RevisedSimplex simplex(em, ColumnLayout::from(em),
-                         /*defer_initial_factor=*/false, options.equilibrate);
-  if (!simplex.ok()) return result;  // kIterationLimit: certify paths bail out
-
-  // Zero-RHS == rows (flow conservation, throughput coupling — the bulk of
-  // every steady-state model here) start with their artificial basic at
-  // exactly zero, so the identity basis is already primal feasible and the
-  // whole phase-1 pivot storm plus the eager artificial expulsion would be
-  // pure degenerate churn. Skip both: the artificials stay basic at zero
-  // behind their zero upper bound, and the bounded ratio test retires one
-  // the moment a phase-2 step would lift it.
-  if (simplex.has_artificials() &&
-      simplex.infeasibility() > RevisedSimplex::kFeasTol) {
-    OBS_SPAN("phase1");
-    SolveStatus s1 =
-        simplex.optimize(simplex.phase1_costs(), options, result.iterations);
-    if (s1 == SolveStatus::kIterationLimit) {
-      result.status = s1;
-      result.phase_times = simplex.phase_times();
+  RevisedSimplex simplex(em);
+  result.status = simplex.cold_start(options, result.iterations);
+  if (result.status == SolveStatus::kOptimal) {
+    const std::vector<double> cost = simplex.phase2_costs();
+    result.status = [&] {
+      OBS_SPAN("phase2");
+      return simplex.optimize(cost, options, result.iterations);
+    }();
+    if (result.status == SolveStatus::kOptimal) {
+      simplex.extract(cost, result);
       return result;
     }
-    if (simplex.infeasibility() > RevisedSimplex::kFeasTol) {
-      result.status = SolveStatus::kInfeasible;
-      result.phase_times = simplex.phase_times();
-      return result;
-    }
-    simplex.expel_artificials();
   }
-
-  const std::vector<double> cost = simplex.phase2_costs();
-  SolveStatus s2 = [&] {
-    OBS_SPAN("phase2");
-    return simplex.optimize(cost, options, result.iterations);
-  }();
-  result.status = s2;
-  result.phase_times = simplex.phase_times();
-  if (s2 != SolveStatus::kOptimal) return result;
-
-  simplex.refresh();
-  if (!simplex.ok()) {
-    result.status = SolveStatus::kIterationLimit;
-    return result;
-  }
-  result.primal = simplex.extract_primal();
-  result.dual = simplex.extract_duals(cost);
-  result.objective = simplex.objective_value(cost);
-  result.basis = simplex.extract_basis();
   result.phase_times = simplex.phase_times();
   return result;
 }

@@ -22,21 +22,23 @@
 // O(m * cols).
 //
 // The constraint matrix is equilibrated at construction (lp/scaling.h,
-// power-of-two geometric-mean factors, exactly undone on extraction) unless
-// the caller opts out; all tolerances therefore apply in the scaled space,
-// which is the point — heterogeneous-platform models mix coefficient
-// magnitudes across many orders.
+// power-of-two geometric-mean factors, exactly undone on extraction); all
+// tolerances therefore apply in the scaled space, which is the point —
+// heterogeneous-platform models mix coefficient magnitudes across many
+// orders.
 //
-// The engine class is exposed here (not just the solve_* driver) because the
-// incremental re-solve path (lp/dual_simplex.h) drives the same state
-// machine from a caller-supplied basis: load_basis() replaces the slack/
-// artificial identity start, dual_optimize() runs the dual simplex until the
-// basis is primal feasible again, and optimize() finishes with the ordinary
-// primal phase 2. Columns additionally carry an upper bound so the dual
-// ratio test can bound-flip (and so completion artificials are fixed at 0);
-// the primal pricing loop ignores bounds, which is sound because the warm-
-// start driver never hands it a basis with a boxed column parked at its
-// upper bound.
+// The engine class is exposed here (not just the solve_* driver) because
+// three drivers share its start, replay and extract steps: the cold solve
+// (cold_start() from the slack/artificial identity, then phase 2), the
+// incremental re-solve (lp/dual_simplex.h: replay() loads a caller-supplied
+// basis and runs the dual simplex until it is primal feasible again, then
+// optimize() finishes with the ordinary primal phase 2) and column
+// generation (lp/colgen.cpp), which keeps one engine alive across rounds.
+// extract() reads any of them out at the optimum. Columns additionally
+// carry an upper bound so the dual ratio test can bound-flip (and so
+// completion artificials are fixed at 0); the primal pricing loop ignores
+// bounds, which is sound because the warm-start driver never hands it a
+// basis with a boxed column parked at its upper bound.
 //
 // Column generation drives one more entry point: append_column() grows the
 // matrix by a structural column AFTER the identity blocks (so no existing
@@ -97,9 +99,8 @@ class RevisedSimplex {
       : RevisedSimplex(em, ColumnLayout::from(em), defer_initial_factor) {}
   /// Takes a prebuilt layout (must equal ColumnLayout::from(em)) so callers
   /// that already computed one — the warm-start mapping — don't pay twice.
-  /// `equilibrate` toggles geometric-mean scaling of the internal matrix.
   RevisedSimplex(const ExpandedModel& em, ColumnLayout layout,
-                 bool defer_initial_factor, bool equilibrate = true);
+                 bool defer_initial_factor);
 
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] bool has_artificials() const {
@@ -118,6 +119,28 @@ class RevisedSimplex {
   /// (primal-feasible) basis.
   SolveStatus optimize(const std::vector<double>& cost,
                        const SimplexOptions& opt, std::size_t& iterations);
+
+  /// Cold start from the slack/artificial identity: phase 1 when some
+  /// artificial starts infeasible, then expel_artificials(). kOptimal leaves
+  /// a primal-feasible basis for phase 2; kInfeasible (phase-1 residual
+  /// above kFeasTol) and kIterationLimit (also: the identity did not
+  /// factor) are final.
+  SolveStatus cold_start(const SimplexOptions& opt, std::size_t& iterations);
+
+  /// Warm replay of a basis (expanded column indices, one per row):
+  /// load_basis(), shift costs to dual feasibility (make_dual_feasible;
+  /// the count lands in `cost_shifts`), then dual_optimize() under `opt`.
+  /// Returns the dual loop's status — kOptimal means primal feasible for
+  /// the shifted costs — or kIterationLimit when the basis does not load.
+  SolveStatus replay(const std::vector<std::size_t>& columns,
+                     const SimplexOptions& opt, std::size_t& iterations,
+                     std::size_t& cost_shifts);
+
+  /// Extract at an optimum for `cost`: refresh(), then the primal, duals,
+  /// objective, basis and phase times into `result` with status kOptimal;
+  /// kIterationLimit (phase times only) when the refreshed factorization
+  /// fails.
+  void extract(const std::vector<double>& cost, SimplexResult<double>& result);
 
   /// Refactorizes and recomputes the basic values — called once at the
   /// optimum so the extracted primal/duals come from a fresh factorization
@@ -273,14 +296,13 @@ class RevisedSimplex {
   std::vector<std::size_t> pos_of_col_;  // column -> position or kNone
   std::optional<BasisLu> lu_;
   bool ok_ = false;
-  bool equilibrate_ = true;  // whether appended columns get scaled too
   std::vector<double> y_;     // simplex multipliers, row space
   std::vector<double> work_;  // FTRAN'd column; all zero between pivots
   std::vector<std::size_t> work_rows_;  // nonzero rows of its column
   std::vector<double> rho_;   // BTRAN scratch (pricing row / expel / dual)
   BasisLu::Workspace lu_ws_;  // caller-owned FTRAN/BTRAN workspace
   // Equilibration state: scaled value = original * row_scale * col_scale;
-  // identity vectors when scaling is off or a no-op.
+  // identity vectors when scaling is a no-op.
   std::vector<double> row_scale_;
   std::vector<double> col_scale_;  // full column space (slacks/artificials
                                    // carry 1/row_scale so they stay ±1)

@@ -17,6 +17,7 @@
 //   max c'x,  <= rows: y >= 0,  >= rows: y <= 0,  == rows: y free,
 // so that dual feasibility reads  A' y >= c  and weak duality  c'x <= b'y.
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -92,6 +93,15 @@ struct BasisColumn {
   std::size_t index = 0;
 };
 
+/// The clock of every SolvePhaseTimes bucket, and the nanoseconds elapsed
+/// on it since `t0`.
+using PhaseClock = std::chrono::steady_clock;
+[[nodiscard]] inline std::uint64_t ns_since(PhaseClock::time_point t0) {
+  const auto elapsed = PhaseClock::now() - t0;
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
+}
+
 /// Wall-clock breakdown of one float solve, accumulated by the revised
 /// engine (the exact tableau leaves it zero). `pricing_ns` covers entering
 /// selection; `factor_ns` is LU (re)factorization. The last two buckets are
@@ -151,10 +161,6 @@ struct SimplexOptions {
   /// so the guarantee is preserved without condemning large instances to
   /// Bland's crawl.
   std::size_t bland_after = 1000;
-  /// Apply power-of-two geometric-mean equilibration (lp/scaling.h) inside
-  /// the double engine. Exactly undone on extraction; the rational tableau
-  /// never scales.
-  bool equilibrate = true;
 };
 
 /// Runs two-phase simplex on the expanded model using scalar type T.

@@ -40,9 +40,9 @@ struct PlanRequest {
   [[nodiscard]] const platform::Platform& platform() const;
 };
 
-/// Cache identity of a request. Solver TUNING fields (tolerances, pivot
-/// budgets, denominator caps) are deliberately not part of the key: they
-/// change how the certified optimum is found, never what it is. Options
+/// Cache identity of a request. Solver TUNING fields (pivot and thread
+/// budgets, presolve) are deliberately not part of the key: they change
+/// how the certified optimum is found, never what it is. Options
 /// that change the PLAN (allow_split_messages) are folded into
 /// `option_bits`.
 struct CacheKey {

@@ -58,16 +58,12 @@ TEST(SteadyStateApi, ReducePlanCarriesTrees) {
 }
 
 TEST(SteadyStateApi, SolverOptionsPropagate) {
-  // Forcing tiny denominator caps without fallback must surface as a solver
-  // failure through the convenience API too.
+  // Solver options must reach the LP through the convenience API: one
+  // simplex pivot cannot solve the Fig. 2 toy, so the solver reports an
+  // iteration limit, which the LP builder surfaces as an exception.
   auto inst = platform::fig2_toy();
   PlanOptions options;
-  // Integer-only reconstruction cannot represent TP = 1/2; with every
-  // rescue path disabled the solver must report failure, which the LP
-  // builder surfaces as an exception.
-  options.solver.denominator_caps = {1};
-  options.solver.allow_basis_verification = false;
-  options.solver.allow_exact_fallback = false;
+  options.solver.simplex.max_iterations = 1;
   EXPECT_THROW(optimize_scatter(inst, options), std::runtime_error);
 }
 

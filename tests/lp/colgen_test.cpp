@@ -158,8 +158,8 @@ TEST(ColGen, TableOracleMatchesDense) {
   const obs::Snapshot after = obs::Registry::global().snapshot();
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_TRUE(sol.certified);
-  EXPECT_GE(sol.colgen_rounds, 1u);
-  EXPECT_EQ(sol.colgen_columns_total, 4u);
+  EXPECT_GE(sol.colgen.rounds, 1u);
+  EXPECT_EQ(sol.colgen.columns_total, 4u);
 
   ExactSolution dense = ExactSolver().solve(dense_model(rows, cols));
   ASSERT_EQ(dense.status, SolveStatus::kOptimal);
@@ -170,7 +170,7 @@ TEST(ColGen, TableOracleMatchesDense) {
   };
   EXPECT_EQ(delta("solver_colgen_solves"), 1.0);
   EXPECT_EQ(delta("solver_colgen_rounds"),
-            static_cast<double>(sol.colgen_rounds));
+            static_cast<double>(sol.colgen.rounds));
 }
 
 TEST(ColGen, InfeasibleMasterFeasibleFullModel) {
@@ -371,9 +371,9 @@ TEST(ColGen, RowStarvedMasterCertifiesAgainstDense) {
 
   // The "idle" row was never touched by any column; the certificate must
   // have been extended over it without ever activating it.
-  EXPECT_EQ(sol.colgen_rows_total, 5u);
-  EXPECT_LT(sol.colgen_rows_active, sol.colgen_rows_total);
-  EXPECT_GE(sol.colgen_rows_active, 2u);
+  EXPECT_EQ(sol.colgen.rows_total, 5u);
+  EXPECT_LT(sol.colgen.rows_active, sol.colgen.rows_total);
+  EXPECT_GE(sol.colgen.rows_active, 2u);
   // Duals come back lifted to the FULL row space, zero at inactive rows.
   ASSERT_EQ(sol.dual.size(), 5u);
 }
@@ -415,7 +415,7 @@ TEST(ColGen, StabilizationPreservesCertifiedObjective) {
     EXPECT_TRUE(sol.certified) << "alpha " << alpha;
     EXPECT_EQ(sol.objective, ExactSolver().solve(rowgen_dense_model()).objective)
         << "alpha " << alpha;
-    if (alpha == 0.0) EXPECT_EQ(sol.colgen_stab_rounds, 0u);
+    if (alpha == 0.0) EXPECT_EQ(sol.colgen.stab_rounds, 0u);
   }
 }
 

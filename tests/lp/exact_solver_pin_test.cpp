@@ -87,15 +87,15 @@ void add(Fnv1a& h, const ExactSolution& s, const SolveContext& context) {
   h.u64(s.warm_started ? 1 : 0);
   h.u64(s.presolve_rows_removed);
   h.u64(s.presolve_cols_removed);
-  h.u64(s.colgen_rounds);
-  h.u64(s.colgen_columns_seeded);
-  h.u64(s.colgen_columns_generated);
-  h.u64(s.colgen_columns_total);
-  h.u64(s.colgen_rows_active);
-  h.u64(s.colgen_rows_total);
-  h.u64(s.colgen_stab_rounds);
-  h.u64(s.colgen_round_log.size());
-  for (const ColGenRoundStat& round : s.colgen_round_log) {
+  h.u64(s.colgen.rounds);
+  h.u64(s.colgen.columns_seeded);
+  h.u64(s.colgen.columns_generated);
+  h.u64(s.colgen.columns_total);
+  h.u64(s.colgen.rows_active);
+  h.u64(s.colgen.rows_total);
+  h.u64(s.colgen.stab_rounds);
+  h.u64(s.colgen.round_log.size());
+  for (const ColGenRoundStat& round : s.colgen.round_log) {
     h.u64(round.columns);
     h.u64(round.pivots);
     h.f64(round.objective);

@@ -40,42 +40,52 @@ TEST(ExactSolver, CertifiesViaDoublePath) {
 }
 
 TEST(ExactSolver, BasisVerificationRescuesFailedReconstruction) {
-  // Denominator cap 2 cannot represent 8/5 or 6/5, so the rounding
-  // certificate fails — but the exact basic solution recovered from the
-  // optimal basis certifies without touching the exact simplex.
-  ExactSolverOptions options;
-  options.denominator_caps = {2};
-  auto sol = ExactSolver(options).solve(classic());
+  // max x + y s.t. p x + y <= 1, x + p y <= 1 at p = 67108879: the optimum
+  // x = y = 1/(p + 1) has a denominator past the largest reconstruction cap
+  // (2^26), so rounding fails — but the exact basic solution recovered from
+  // the optimal basis certifies without touching the exact simplex.
+  const Rational p(67108879);
+  Model m;
+  VarId x = m.add_variable("x");
+  VarId y = m.add_variable("y");
+  m.set_objective(x, Rational(1));
+  m.set_objective(y, Rational(1));
+  m.add_constraint(LinearExpr().add(x, p).add(y, Rational(1)),
+                   Sense::kLessEqual, Rational(1));
+  m.add_constraint(LinearExpr().add(x, Rational(1)).add(y, p),
+                   Sense::kLessEqual, Rational(1));
+  auto sol = ExactSolver().solve(m);
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_TRUE(sol.certified);
   EXPECT_EQ(sol.method, "double+basis-verification");
-  EXPECT_EQ(sol.objective, Rational(14, 5));
-  EXPECT_EQ(sol.primal[0], Rational(8, 5));
+  EXPECT_EQ(sol.objective, Rational(1, 33554440));
+  EXPECT_EQ(sol.primal[0], Rational(1, 67108880));
   EXPECT_EQ(sol.exact_iterations, 0u);
 }
 
 TEST(ExactSolver, FallsBackWhenReconstructionImpossible) {
-  // With basis verification also disabled, the exact simplex must take over
-  // and still produce the exact optimum.
-  ExactSolverOptions options;
-  options.denominator_caps = {2};
-  options.allow_basis_verification = false;
-  auto sol = ExactSolver(options).solve(classic());
+  // max a + b s.t. a + (1 - 10^-12) b <= 1, a <= 1: at a = 1, b's reduced
+  // cost is 10^-12, under the float engine's tolerance, so the float pass
+  // stops at the wrong vertex. Both certificate rungs then fail exactly,
+  // and the exact simplex must take over and prove 10^12 / (10^12 - 1).
+  const num::BigInt tera = num::BigInt::pow(num::BigInt(10), 12);
+  Model m;
+  VarId a = m.add_variable("a");
+  VarId b = m.add_variable("b");
+  m.set_objective(a, Rational(1));
+  m.set_objective(b, Rational(1));
+  m.add_constraint(LinearExpr()
+                       .add(a, Rational(1))
+                       .add(b, Rational(1) - Rational(num::BigInt(1), tera)),
+                   Sense::kLessEqual, Rational(1));
+  m.add_constraint(LinearExpr().add(a, Rational(1)), Sense::kLessEqual,
+                   Rational(1));
+  auto sol = ExactSolver().solve(m);
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_TRUE(sol.certified);
   EXPECT_EQ(sol.method, "double+exact-simplex");
-  EXPECT_EQ(sol.objective, Rational(14, 5));
+  EXPECT_EQ(sol.objective, Rational(tera, tera - num::BigInt(1)));
   EXPECT_GT(sol.exact_iterations, 0u);
-}
-
-TEST(ExactSolver, NoFallbackReportsHonestly) {
-  ExactSolverOptions options;
-  options.denominator_caps = {2};
-  options.allow_basis_verification = false;
-  options.allow_exact_fallback = false;
-  auto sol = ExactSolver(options).solve(classic());
-  EXPECT_NE(sol.status, SolveStatus::kOptimal);
-  EXPECT_FALSE(sol.certified);
 }
 
 TEST(ExactSolver, InfeasibleProvenByExactPath) {
@@ -103,6 +113,33 @@ TEST(ExactSolver, UnboundedDetected) {
   m.set_objective(x, Rational(1));
   auto sol = ExactSolver().solve(m);
   EXPECT_EQ(sol.status, SolveStatus::kUnbounded);
+}
+
+TEST(ExactSolver, ExactFallbackCountedWithoutPivots) {
+  // solver_exact_fallbacks counts solves the rational tableau proved, not
+  // its pivots: the tableau proves `max x` unbounded with no pivot at all.
+  Model unbounded;
+  VarId x = unbounded.add_variable("x");
+  unbounded.set_objective(x, Rational(1));
+  Model infeasible;
+  VarId z = infeasible.add_variable("z", Rational(0), Rational(1));
+  infeasible.add_constraint(LinearExpr().add(z, Rational(1)),
+                            Sense::kGreaterEqual, Rational(2));
+  ExactSolverOptions no_presolve;
+  no_presolve.presolve = false;
+  const obs::Snapshot before = obs::Registry::global().snapshot();
+  auto u = ExactSolver().solve(unbounded);
+  auto i = ExactSolver(no_presolve).solve(infeasible);
+  const obs::Snapshot after = obs::Registry::global().snapshot();
+  EXPECT_EQ(u.status, SolveStatus::kUnbounded);
+  EXPECT_EQ(u.method, "exact-simplex");
+  EXPECT_EQ(u.exact_iterations, 0u);
+  EXPECT_EQ(i.status, SolveStatus::kInfeasible);
+  EXPECT_EQ(i.method, "exact-simplex");
+  EXPECT_GT(i.exact_iterations, 0u);
+  EXPECT_EQ(testing::metric(after, "solver_exact_fallbacks") -
+                before.value("solver_exact_fallbacks"),
+            2.0);
 }
 
 TEST(ExactSolver, ObjectiveConstantFromShiftedLowerBounds) {

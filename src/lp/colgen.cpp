@@ -397,17 +397,10 @@ ExactSolution ExactSolver::solve_colgen(Model& master, PricingOracle& oracle,
     // The master's exact pair lands in `out` directly. It stands only if
     // the checks below extend it to the complete model; every other exit
     // overwrites it (next round's certificate or the dense fallback).
-    const CertificateAccept accept =
-        [&](std::vector<Rational>& primal, std::vector<Rational>& dual,
-            const char* rung) {
-          set_exact_optimum(out, em, primal, std::move(dual),
-                            std::string("colgen+") + rung);
-          return true;
-        };
     bool proved = [&] {
       OBS_SPAN("certify");
       const auto certify_t0 = PhaseClock::now();
-      const bool ok = certify_float_result(em, fp, accept, par);
+      const bool ok = certify_float_result(em, fp, "colgen+", out, par);
       certify_ns += ns_since(certify_t0);
       return ok;
     }();

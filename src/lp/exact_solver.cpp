@@ -8,7 +8,6 @@
 #include "lp/column_layout.h"
 #include "lp/dual_simplex.h"
 #include "lp/exact_basis.h"
-#include "lp/presolve.h"
 #include "num/reconstruct.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -223,7 +222,8 @@ ExactSolution ExactSolver::solve(const Model& model) const {
 
 bool ExactSolver::certify_float_result(const ExpandedModel& em,
                                        const SimplexResult<double>& fp,
-                                       const CertificateAccept& accept,
+                                       const std::string& label,
+                                       ExactSolution& out,
                                        const Parallel& parallel) {
   for (std::uint64_t cap : kDenominatorCaps) {
     auto x = reconstruct_vector(fp.primal, cap, parallel);
@@ -233,16 +233,18 @@ bool ExactSolver::certify_float_result(const ExpandedModel& em,
     for (Rational& v : *x) {
       if (v.is_negative()) v = Rational(0);
     }
-    if (verify_certificate(em, *x, *y, parallel) &&
-        accept(*x, *y, "certificate")) {
+    if (verify_certificate(em, *x, *y, parallel)) {
+      set_exact_optimum(out, em, *x, std::move(*y), label + "certificate");
       return true;
     }
   }
   // Second rung: exact recovery from the optimal basis (degenerate optima
   // with large vertex denominators land here).
   auto verified = verify_from_basis(em, fp.basis, parallel);
-  return verified &&
-         accept(verified->primal, verified->dual, "basis-verification");
+  if (!verified) return false;
+  set_exact_optimum(out, em, verified->primal, std::move(verified->dual),
+                    label + "basis-verification");
+  return true;
 }
 
 void ExactSolver::set_exact_optimum(ExactSolution& out,
@@ -315,8 +317,6 @@ struct SolverMetrics {
   obs::Counter& warm_attempts;
   obs::Counter& warm_solves;
   obs::Counter& exact_fallbacks;
-  obs::Counter& presolve_rows_removed;
-  obs::Counter& presolve_cols_removed;
   obs::Counter& colgen_solves;
   obs::Counter& colgen_rounds;
   obs::Counter& colgen_columns_generated;
@@ -341,8 +341,6 @@ const SolverMetrics& solver_metrics() {
         reg.counter("solver_warm_attempts"),
         reg.counter("solver_warm_solves"),
         reg.counter("solver_exact_fallbacks"),
-        reg.counter("solver_presolve_rows_removed"),
-        reg.counter("solver_presolve_cols_removed"),
         reg.counter("solver_colgen_solves"),
         reg.counter("solver_colgen_rounds"),
         reg.counter("solver_colgen_columns_generated"),
@@ -376,8 +374,6 @@ void ExactSolver::record_solve(const ExactSolution& out,
   if (out.method.find("exact-simplex") != std::string::npos) {
     m.exact_fallbacks.add(1);
   }
-  m.presolve_rows_removed.add(out.presolve_rows_removed);
-  m.presolve_cols_removed.add(out.presolve_cols_removed);
   if (out.colgen.rounds > 0 || out.colgen.columns_total > 0) {
     m.colgen_solves.add(1);
     m.colgen_rounds.add(out.colgen.rounds);
@@ -415,26 +411,16 @@ ExactSolution ExactSolver::solve_impl(const Model& model,
     }
   };
 
-  // The certificate ladder on a float optimum of `target`, billed to
-  // certify_ns.
+  // The certificate ladder on a float optimum of `em`, billed to
+  // certify_ns: a verified pair is the answer as it stands.
   const Parallel par = solve_parallel(context);
-  auto certify = [&](const ExpandedModel& target,
-                     const SimplexResult<double>& fp,
-                     const CertificateAccept& accept) {
+  auto certify = [&](const SimplexResult<double>& fp) {
     OBS_SPAN("certify");
     const auto t0 = PhaseClock::now();
-    const bool ok = certify_float_result(target, fp, accept, par);
+    const bool ok = certify_float_result(em, fp, "double+", out, par);
     out.phase_times.certify_ns += ns_since(t0);
     return ok;
   };
-  // Full-model hook: a verified pair is the answer as it stands.
-  const CertificateAccept accept_full =
-      [&](std::vector<Rational>& x, std::vector<Rational>& y,
-          const char* rung) {
-        set_exact_optimum(out, em, x, std::move(y),
-                          std::string("double+") + rung);
-        return true;
-      };
 
   // Warm attempt: replay the context basis through the dual simplex. ANY
   // inconclusive or non-optimal warm outcome — including a tolerance-level
@@ -442,7 +428,6 @@ ExactSolution ExactSolver::solve_impl(const Model& model,
   // to the cold float pass, so a warm start costs at most one extra
   // (cheap) float solve, never a wrong answer and never an unnecessary
   // trip through the exact simplex.
-  SimplexResult<double> fp;
   ColumnLayout layout;
   if (auto columns = warm_columns(context, model, em, layout)) {
     OBS_SPAN("warm");
@@ -453,8 +438,7 @@ ExactSolution ExactSolver::solve_impl(const Model& model,
     out.float_iterations += warm.iterations;
     out.phase_times += warm.phase_times;
     context->cost_shifts = info.cost_shifts;
-    if (warm.status == SolveStatus::kOptimal &&
-        certify(em, warm, accept_full)) {
+    if (warm.status == SolveStatus::kOptimal && certify(warm)) {
       remember(warm.basis);
       context->warm_used = true;
       out.warm_started = true;
@@ -465,76 +449,16 @@ ExactSolution ExactSolver::solve_impl(const Model& model,
     // fall through to the cold solve.
   }
 
-  // Cold solve: exact presolve first, float solve and certification on the
-  // REDUCED model, exact postsolve back to the full one. The lifted pair is
-  // re-verified against the full model, so presolve can cost at most a
-  // fallback, never a wrong answer.
-  bool presolve_skip_cold = false;
-  if (options_.presolve) {
-    Presolved pre = [&] {
-      OBS_SPAN("presolve");
-      return presolve(em);
-    }();
-    if (pre.status == PresolveStatus::kInfeasible) {
-      // The reductions run in exact rational arithmetic: this verdict is a
-      // proof, no float or exact simplex pass needed.
-      out.status = SolveStatus::kInfeasible;
-      out.method = "presolve";
-      out.presolve_rows_removed = pre.stats.rows_removed;
-      out.presolve_cols_removed = pre.stats.cols_removed;
-      return out;
-    }
-    if (!pre.identity()) {
-      out.presolve_rows_removed = pre.stats.rows_removed;
-      out.presolve_cols_removed = pre.stats.cols_removed;
-      SimplexResult<double> fr = [&] {
-        OBS_SPAN("float");
-        return solve_simplex<double>(pre.reduced, options_.simplex);
-      }();
-      out.float_iterations += fr.iterations;
-      out.phase_times += fr.phase_times;
-      // Presolved hook: lift the reduced pair to the full model and take it
-      // only if the full certificate holds there too.
-      std::vector<BasisColumn> lifted_basis;
-      const CertificateAccept lift =
-          [&](std::vector<Rational>& x, std::vector<Rational>& y,
-              const char* rung) {
-            Presolved::Lifted lifted = pre.postsolve(x, y, fr.basis);
-            if (!verify_certificate(em, lifted.primal, lifted.dual, par)) {
-              return false;
-            }
-            set_exact_optimum(out, em, lifted.primal, std::move(lifted.dual),
-                              std::string("double+") + rung);
-            lifted_basis = std::move(lifted.basis);
-            return true;
-          };
-      if (fr.status == SolveStatus::kOptimal &&
-          certify(pre.reduced, fr, lift)) {
-        remember(lifted_basis);
-        return out;
-      }
-      // Reduced-model certification failed (or the reduced float solve was
-      // not optimal): fall through to the shared full-model paths. A
-      // non-optimal reduced verdict skips the redundant full float solve
-      // and lets the exact fallback prove it, exactly like a cold float
-      // verdict did before presolve existed; an optimal-but-uncertifiable
-      // one retries cold on the full model first, mirroring the warm path.
-      fp.status = fr.status;
-      presolve_skip_cold = fr.status != SolveStatus::kOptimal;
-    }
-  }
-
-  if (!presolve_skip_cold) {
-    {
-      OBS_SPAN("float");
-      fp = solve_simplex<double>(em, options_.simplex);
-    }
-    out.float_iterations += fp.iterations;
-    out.phase_times += fp.phase_times;
-    if (fp.status == SolveStatus::kOptimal && certify(em, fp, accept_full)) {
-      remember(fp.basis);
-      return out;
-    }
+  // Cold solve on the full model.
+  SimplexResult<double> fp = [&] {
+    OBS_SPAN("float");
+    return solve_simplex<double>(em, options_.simplex);
+  }();
+  out.float_iterations += fp.iterations;
+  out.phase_times += fp.phase_times;
+  if (fp.status == SolveStatus::kOptimal && certify(fp)) {
+    remember(fp.basis);
+    return out;
   }
 
   // Exact fallback. Also the path that *proves* infeasibility/unboundedness

@@ -10,11 +10,10 @@
 //
 //   1. solve in double precision with the sparse revised simplex
 //      (lp/revised_simplex.h): warm from the SolveContext's basis through
-//      the dual simplex when it holds one (lp/dual_simplex.h); cold
-//      otherwise, or when the warm optimum does not certify — first on the
-//      exact presolve's reduced model (lp/presolve.h), then on the full
-//      model when the reduced one does not certify. Column generation
-//      (lp/colgen.h) solves a growing restricted master instead;
+//      the dual simplex when it holds one (lp/dual_simplex.h); cold on the
+//      full model otherwise, or when the warm optimum does not certify.
+//      Column generation (lp/colgen.h) solves a growing restricted master
+//      instead;
 //   2. run the certificate ladder on the float optimum:
 //      a. round primal and duals to rationals by continued fractions
 //         (num/reconstruct.h) at a growing denominator cap, and verify an
@@ -26,10 +25,9 @@
 //         B x_B = b and B' y = c_B by double LU + exact iterative refinement
 //         + rational reconstruction (lp/exact_basis.h) — and verify the
 //         same certificate;
-//      each verified pair goes to the caller's accept hook, which takes it
-//      as is on the full model, lifts and re-verifies it on a presolved
-//      one, and under column generation takes the master's pair, which an
-//      exact pricing sweep then extends to the implicit model;
+//      the first verified pair is the result; under column generation it
+//      is the master's pair, which an exact pricing sweep then extends to
+//      the implicit model;
 //   3. when every rung fails, or the float pass ends infeasible, unbounded
 //      or at its iteration limit, solve with the exact rational simplex
 //      (the one exact rung).
@@ -38,7 +36,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -97,8 +94,7 @@ struct ExactSolution {
   /// The path that produced the result: "double+certificate",
   /// "double+basis-verification" or "double+exact-simplex" after a float
   /// optimum; "exact-simplex" when the float pass ended infeasible,
-  /// unbounded or at its iteration limit; "presolve" for an infeasibility
-  /// the exact presolve proved; "colgen+certificate",
+  /// unbounded or at its iteration limit; "colgen+certificate",
   /// "colgen+basis-verification" or "colgen+exact-simplex" from column
   /// generation, and "colgen-fallback+" before the dense method when it
   /// fell back to the materialized full model. solve_exact_simplex reports
@@ -110,10 +106,6 @@ struct ExactSolution {
   /// (lp/dual_simplex.h) instead of a cold two-phase solve.
   bool warm_started = false;
   ColGenRecord colgen;
-  /// Rows/columns the exact presolve removed before the float solve
-  /// (lp/presolve.h); zero when presolve was off or found nothing.
-  std::size_t presolve_rows_removed = 0;
-  std::size_t presolve_cols_removed = 0;
   /// FTRAN/BTRAN/pricing/factorization split of the float engine work this
   /// solve performed (warm attempt + cold pass combined).
   SolvePhaseTimes phase_times;
@@ -138,11 +130,6 @@ struct SolveContext {
 };
 
 struct ExactSolverOptions {
-  /// Run the exact presolve (lp/presolve.h) before a cold float solve and
-  /// certify against the REDUCED model; the lifted full-model pair is
-  /// re-verified, so presolve can never cost correctness. Warm re-solves
-  /// and the exact fallback always see the full model.
-  bool presolve = true;
   /// Thread budget for the parallel column loops — certificate
   /// verification, exact basis recovery, colgen pricing sweeps
   /// (lp/parallel.h). 0 = all hardware threads, 1 = fully serial. Results
@@ -230,24 +217,17 @@ class ExactSolver {
   friend ExactSolution solve_exact_simplex(const Model& model,
                                            const SimplexOptions& options);
 
-  /// Takes one verified exact pair — shifted-space primal and dual of the
-  /// model the ladder runs on — with the rung that produced it
-  /// ("certificate" or "basis-verification"). Returns true to accept it, and
-  /// may then move from the pair; false lets the next rung run.
-  using CertificateAccept = std::function<bool(
-      std::vector<Rational>& primal, std::vector<Rational>& dual,
-      const char* rung)>;
-
   /// The certificate ladder on a float-OPTIMAL SimplexResult for `em`:
   /// rational reconstruction of the float primal/dual pair at each
   /// denominator cap (2^12, 2^20, 2^26), clamped and verified, then exact
-  /// recovery from the optimal basis (lp/exact_basis.h), verified. Each
-  /// verified pair goes to `accept`; the ladder stops at the first pair it
-  /// takes and returns true, false when every rung failed or was refused.
-  /// Shared by the cold, warm, presolved and column-generation paths.
+  /// recovery from the optimal basis (lp/exact_basis.h), verified. The
+  /// first verified pair fills `out` (set_exact_optimum) with method
+  /// `label` + the rung ("certificate" or "basis-verification") and the
+  /// ladder returns true; false when every rung failed. Shared by the
+  /// cold, warm and column-generation paths.
   [[nodiscard]] static bool certify_float_result(
       const ExpandedModel& em, const SimplexResult<double>& fp,
-      const CertificateAccept& accept, const Parallel& parallel);
+      const std::string& label, ExactSolution& out, const Parallel& parallel);
 
   /// Fills `out` from an exact optimal pair of `em` (`x` in shifted space):
   /// status kOptimal, objective c'x plus the shift constant, the unshifted

@@ -150,7 +150,7 @@ struct SimplexResult {
 };
 
 /// The double engine prices by candidate-list Dantzig (primal loop) and
-/// largest violation (dual loop). DESIGN.md "Presolve & pricing" records
+/// largest violation (dual loop). DESIGN.md "Pricing & scaling" records
 /// why: on these degenerate flow LPs every rule pays the same pivot floor,
 /// so the cheapest scan wins end to end.
 struct SimplexOptions {

@@ -2,7 +2,7 @@
 // Low-overhead span tracing with Chrome trace-event JSON export.
 //
 // One trace shows the full plan -> execute -> re-solve loop on a single
-// timeline: solver phases (presolve/phase1/phase2/factor/certify/colgen
+// timeline: solver phases (float/phase1/phase2/factor/certify/colgen
 // rounds), service events (submit, hit class, dedup, drift re-solve) and
 // executor activities (per-transfer/per-compute occupations and admission
 // waits) all land in the same file, loadable in Perfetto or

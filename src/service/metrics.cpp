@@ -87,8 +87,6 @@ constexpr Row kSolverRows[] = {
     {"warm attempts", "solver_warm_attempts"},
     {"warm solves", "solver_warm_solves"},
     {"exact fallbacks", "solver_exact_fallbacks"},
-    {"presolve rows removed", "solver_presolve_rows_removed"},
-    {"presolve cols removed", "solver_presolve_cols_removed"},
     {"colgen solves", "solver_colgen_solves"},
     {"colgen rounds", "solver_colgen_rounds"},
     {"colgen columns generated", "solver_colgen_columns_generated"},

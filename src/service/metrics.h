@@ -76,8 +76,8 @@ struct CacheShardMetrics {
 
 /// Renders the solver_* entries of `snapshot` (taken from
 /// obs::Registry::global(), where every solve lands) — solve/pivot
-/// counters, presolve and colgen totals, and the FTRAN/BTRAN/pricing/
-/// factorization wall-clock split — as an io/report table.
+/// counters, colgen totals, and the FTRAN/BTRAN/pricing/factorization
+/// wall-clock split — as an io/report table.
 [[nodiscard]] std::string format_solver_stats(const obs::Snapshot& snapshot);
 
 }  // namespace ssco::service

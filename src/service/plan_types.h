@@ -41,10 +41,9 @@ struct PlanRequest {
 };
 
 /// Cache identity of a request. Solver TUNING fields (pivot and thread
-/// budgets, presolve) are deliberately not part of the key: they change
-/// how the certified optimum is found, never what it is. Options
-/// that change the PLAN (allow_split_messages) are folded into
-/// `option_bits`.
+/// budgets) are deliberately not part of the key: they change how the
+/// certified optimum is found, never what it is. Options that change the
+/// PLAN (allow_split_messages) are folded into `option_bits`.
 struct CacheKey {
   Operation op = Operation::kScatter;
   std::uint64_t fingerprint = 0;  // Fingerprint::full

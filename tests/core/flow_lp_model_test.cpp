@@ -83,25 +83,25 @@ constexpr Pin kScatterPins[kSeeded + 1] = {
     {0xe0ff22e0318f0f51ull, 0x8f27cee97bcd2d0cull, "12/19", 7},
     {0x37035f0db82eb894ull, 0xffd785fe3c4f8df7ull, "657/2782", 113},
     {0xa42d16c23ea1c33aull, 0x38b39221256f30d6ull, "1/10", 201},
-    {0x8f7f09f5f41fb633ull, 0x94df1f3ad080132dull, "2/9", 16},
-    {0xd0cc02d9d68c5b85ull, 0xb5e18f7f724f8a45ull, "2/9", 70},
+    {0x8f7f09f5f41fb633ull, 0x94df1f3ad080132dull, "2/9", 17},
+    {0xd0cc02d9d68c5b85ull, 0xb5e18f7f724f8a45ull, "2/9", 71},
     {0x84c4c2a6164b3621ull, 0x44c686d5fc031cc0ull, "1/5", 199},
     {0x5a4c60a30c75c1e8ull, 0xbcbd00d77a18bd0bull, "1/2", 16},
-    {0x92b8f02d762c2cf8ull, 0x3c81461e0df3c4d3ull, "1/4", 69},
+    {0x92b8f02d762c2cf8ull, 0x3c81461e0df3c4d3ull, "1/4", 74},
     {0x98bd12bc076d25c5ull, 0x324d673c68496385ull, "3/10", 251},
-    {0xc211d81625c82b12ull, 0xbbbdf058520e3f67ull, "2/9", 9},
+    {0xc211d81625c82b12ull, 0xbbbdf058520e3f67ull, "2/9", 10},
     {0xb8245115a4114426ull, 0x579a0717fe07ae23ull, "307/628", 125},
     {0x51abf58e33f916b6ull, 0x2c3c8a8bed76ea29ull, "22/117", 231},
     {0xa95bbb61df7bc613ull, 0xd511372b03781483ull, "62/111", 15},
     {0x9454f58729f99484ull, 0xeb11bb239efe8d94ull, "2407/7234", 127},
     {0x749c258f55c0cb12ull, 0x614cfb1834261e3dull, "89/296", 229},
-    {0xbfad44889929061aull, 0x703a0649e10973eeull, "1/6", 16},
+    {0xbfad44889929061aull, 0x703a0649e10973eeull, "1/6", 17},
     {0x5e6f1223079badd7ull, 0x83ad5c0274cfd052ull, "300/653", 100},
     {0x538e20078a310ed9ull, 0x057658f0d60e90f0ull, "1/5", 234},
 };
 
 constexpr Pin kGossipPins[kSeeded] = {
-    {0x2b31b8b48ce2c26bull, 0x6a4be01a8d0f0612ull, "42/167", 22},
+    {0x2b31b8b48ce2c26bull, 0x6a4be01a8d0f0612ull, "42/167", 24},
     {0x33c35ea6aa2f5da3ull, 0x6ee3f6dc8c6d56e7ull, "1/3", 89},
     {0x0533bde6e480f6f1ull, 0x4ecf6d63af32d6cdull, "11/37", 218},
     {0xa94586cf8f07bf27ull, 0x19dad803a9387fffull, "1/9", 25},
@@ -110,13 +110,13 @@ constexpr Pin kGossipPins[kSeeded] = {
     {0xbf03564a889c1e96ull, 0x83721cb89ddeac0bull, "1/14", 31},
     {0x378f4ddc6913d946ull, 0xea23aacf45cf2257ull, "11565/35389", 127},
     {0x571d253e9c877f4aull, 0xf2e24e18345c8268ull, "1/3", 226},
-    {0x9f8c8d03442ddb3bull, 0xa5574a06b6372bd0ull, "1/9", 28},
+    {0x9f8c8d03442ddb3bull, 0xa5574a06b6372bd0ull, "1/9", 31},
     {0x45b481f1840fa482ull, 0x804e9e74e9cccaa5ull, "1/3", 92},
     {0x52b61bde4124aaeaull, 0xdc7cec7188f8d3f6ull, "148645483/247197066", 572},
     {0xef943e0f9c66a3bcull, 0x974e19643a36558aull, "3/14", 35},
     {0x9fd5873e31bd6d8full, 0x9efbd49d9ab09f8full, "4/15", 96},
     {0x9c66ce00b618b079ull, 0xc00106aaebc34b0bull, "2/9", 79},
-    {0x26bac36f3b237bf5ull, 0x117fc232e4575a19ull, "1/10", 35},
+    {0x26bac36f3b237bf5ull, 0x117fc232e4575a19ull, "1/10", 36},
     {0x58cf434ca8dc7f49ull, 0xa38dca3147ba75a7ull, "3/10", 83},
     {0x2a75b88c6804a5c0ull, 0x6dee4850d40c2b76ull, "2522/4117", 432},
 };
@@ -131,7 +131,7 @@ constexpr Pin kGatherPins[kSeeded] = {
     {0x4932d5be63f8450aull, 0xebffdf1c1dd3b2b5ull, "1/6", 9},
     {0x4c57d7c2e7097c11ull, 0x8c56594794fbc3f9ull, "1/2", 65},
     {0x22143999577bb519ull, 0xaa1d7954754c9264ull, "11/15", 114},
-    {0xbef2db01aa16744dull, 0x41a8bb04b0e73d04ull, "2/9", 9},
+    {0xbef2db01aa16744dull, 0x41a8bb04b0e73d04ull, "2/9", 12},
     {0x670b6b45c3c95d70ull, 0xd165de5ee6fa6d93ull, "1", 25},
     {0xf639f6884ab2f340ull, 0x319e7ff6d30e4e71ull, "11/12", 115},
     {0xf91ba72f7dfa7d5dull, 0x1f6d59f4b3c0f720ull, "1/4", 10},

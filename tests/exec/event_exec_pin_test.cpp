@@ -214,17 +214,17 @@ constexpr Pin kPins[] = {
     {"fig2_scatter", 0x039ffd589625d9fcULL},
     {"fig6_reduce", 0x0be1dd8fd8bc329cULL},
     {"fig9_reduce", 0x154f758b07fa086cULL},
-    {"random16_scatter", 0x8404864ca5f7c21aULL},
-    {"random16_scatter_half_rate", 0xaf99fd9323927110ULL},
+    {"random16_scatter", 0xa6dc50c18f79cfa1ULL},
+    {"random16_scatter_half_rate", 0x6c29d0237e7804d3ULL},
     {"random12_reduce_half_rate", 0x76e1d86e4722249dULL},
-    {"chaos0_random16_scatter", 0x324bbec5bd6af4f5ULL},
-    {"chaos1_random16_scatter", 0xe3563e55471c528eULL},
-    {"chaos2_random16_scatter", 0xcff83d22b57355ecULL},
-    {"chaos3_random16_scatter", 0xf2008e4f1205f0deULL},
-    {"chaos4_random16_scatter", 0x503e9c1f69208cecULL},
-    {"chaos5_random16_scatter", 0x4a75cb9e99b096b9ULL},
-    {"chaos6_random16_scatter", 0x4ce889837b4afaadULL},
-    {"chaos7_random16_scatter", 0xdeabaab330dfc41fULL},
+    {"chaos0_random16_scatter", 0x3e604fd276c1f995ULL},
+    {"chaos1_random16_scatter", 0x23eb3db53bb3a8c8ULL},
+    {"chaos2_random16_scatter", 0x79f7f65cce1fbd08ULL},
+    {"chaos3_random16_scatter", 0x635d3fb10c1744abULL},
+    {"chaos4_random16_scatter", 0xf52061787af4c523ULL},
+    {"chaos5_random16_scatter", 0x9ace6eb42262801eULL},
+    {"chaos6_random16_scatter", 0xeb7b77b55d298d86ULL},
+    {"chaos7_random16_scatter", 0x564094cc363e6727ULL},
     {"chaos2_fig9_reduce", 0xda50ee8345616232ULL},
     {"chaos3_fig9_reduce", 0x0d3da88c3141f420ULL},
 };

@@ -7,17 +7,15 @@
 // float and exact pivots, the warm flag, the column-generation record
 // (counters and every round-log entry, doubles by bit pattern) and the peak
 // LU fill, plus the warm-start basis names and warm telemetry left in the
-// SolveContext. Wall-clock times and the presolve removal counts are left
-// out.
+// SolveContext. Wall-clock times are left out.
 //
 // The corpus covers the paper models (Fig. 2, 6, 9), seeded dense scatter,
 // gossip, reduce and prefix models, reduce and prefix by column generation,
 // a warm re-solve of each after a seeded platform cost delta, one natural
 // input per rung of the certificate ladder (basis verification, the exact
-// simplex, an iteration limit), presolve-proved and simplex-proved
-// infeasibility, and unboundedness. Each case runs at a thread budget of
-// one and on a private pool (SSCO_TEST_POOL_WORKERS helpers); both must
-// match the pin.
+// simplex, an iteration limit), infeasibility and unboundedness. Each case
+// runs at a thread budget of one and on a private pool
+// (SSCO_TEST_POOL_WORKERS helpers); both must match the pin.
 //
 // The digests hold for the portable build: SSCO_NATIVE_ARCH lets the
 // compiler contract float expressions differently. When a digest
@@ -346,12 +344,8 @@ std::vector<PinCase> corpus() {
     single(o, h, core::build_scatter_lp(platform::fig2_toy()),
            [](ExactSolverOptions& t) { t.simplex.max_iterations = 1; });
   }});
-  cases.push_back({"infeasible_presolve", [](const auto& o, Fnv1a& h) {
-    single(o, h, infeasible_model());
-  }});
   cases.push_back({"infeasible_exact", [](const auto& o, Fnv1a& h) {
-    single(o, h, infeasible_model(),
-           [](ExactSolverOptions& t) { t.presolve = false; });
+    single(o, h, infeasible_model());
   }});
   cases.push_back({"unbounded", [](const auto& o, Fnv1a& h) {
     single(o, h, unbounded_model());
@@ -365,13 +359,13 @@ struct Pin {
 };
 
 constexpr Pin kPins[] = {
-    {"fig2_scatter", 0x5f0fcf27c049ada8ull},
+    {"fig2_scatter", 0x49a22fc5453a2756ull},
     {"fig6_reduce", 0xaf3bde10a66a4c5full},
     {"fig9_reduce", 0xf341768fcc28632full},
     {"scatter10_seed1", 0x239fd6e6632e9edbull},
     {"gossip8_seed1", 0x78afe8dcd6f583d5ull},
-    {"reduce7_seed1", 0x7f5816e4b3c98f72ull},
-    {"prefix7_seed1", 0xa7e874cf7e5bd879ull},
+    {"reduce7_seed1", 0xd724a6fb82be0774ull},
+    {"prefix7_seed1", 0x3fd7d0cce06ab5d7ull},
     {"reduce9_colgen_seed1", 0x251cb1494ef6e1fcull},
     {"prefix8_colgen_seed1", 0xad4b070adbce40ceull},
     {"scatter10_seed4", 0x3b0dde681d9006dull},
@@ -401,8 +395,7 @@ constexpr Pin kPins[] = {
     {"reduce9_colgen_batch2", 0x10f24ba5f4020d95ull},
     {"basis_rung", 0x17985cf1038665acull},
     {"exact_rung", 0xbdbadd9675e9ccc9ull},
-    {"fig2_iteration_limit", 0x12ee2bd03cb4723cull},
-    {"infeasible_presolve", 0x7cb6c91437f0b173ull},
+    {"fig2_iteration_limit", 0xeec2462f952c421full},
     {"infeasible_exact", 0xf1827396ce84c18cull},
     {"unbounded", 0xc2d1b7fbe0e4ef58ull},
 };

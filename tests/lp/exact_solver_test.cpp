@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "graph/rng.h"
 #include "obs/metrics.h"
 #include "testing/metric.h"
 
@@ -89,22 +92,57 @@ TEST(ExactSolver, FallsBackWhenReconstructionImpossible) {
 }
 
 TEST(ExactSolver, InfeasibleProvenByExactPath) {
-  // x <= 1 (bound row) conflicts with x >= 2: the exact presolve proves
-  // this directly (conflicting proportional singleton rows); with presolve
-  // off, the rational simplex must be the prover — never a float verdict.
-  Model m;
-  VarId x = m.add_variable("x", Rational(0), Rational(1));
-  m.add_constraint(LinearExpr().add(x, Rational(1)), Sense::kGreaterEqual,
-                   Rational(2));
-  auto sol = ExactSolver().solve(m);
-  EXPECT_EQ(sol.status, SolveStatus::kInfeasible);
-  EXPECT_EQ(sol.method, "presolve");
-
-  ExactSolverOptions no_presolve;
-  no_presolve.presolve = false;
-  auto exact = ExactSolver(no_presolve).solve(m);
-  EXPECT_EQ(exact.status, SolveStatus::kInfeasible);
-  EXPECT_EQ(exact.method, "exact-simplex");
+  // Each model is infeasible; the rational simplex must be the prover —
+  // never a float verdict.
+  std::vector<std::pair<const char*, Model>> models;
+  {
+    // x <= 1 (bound row) conflicts with x >= 2.
+    Model m;
+    VarId x = m.add_variable("x", Rational(0), Rational(1));
+    m.add_constraint(LinearExpr().add(x, Rational(1)), Sense::kGreaterEqual,
+                     Rational(2));
+    models.emplace_back("bound conflict", std::move(m));
+  }
+  {
+    // x + y == 2 and 2x + 2y == 6: proportional equalities that disagree.
+    Model m;
+    VarId x = m.add_variable("x");
+    VarId y = m.add_variable("y");
+    m.add_constraint(LinearExpr().add(x, Rational(1)).add(y, Rational(1)),
+                     Sense::kEqual, Rational(2));
+    m.add_constraint(LinearExpr().add(x, Rational(2)).add(y, Rational(2)),
+                     Sense::kEqual, Rational(6));
+    models.emplace_back("duplicate equality conflict", std::move(m));
+  }
+  {
+    // a == 1 substituted into 2a <= 1 leaves 0 <= -1.
+    Model m;
+    VarId a = m.add_variable("a");
+    m.set_objective(a, Rational(1));
+    m.add_constraint(LinearExpr().add(a, Rational(1)), Sense::kEqual,
+                     Rational(1));
+    m.add_constraint(LinearExpr().add(a, Rational(2)), Sense::kLessEqual,
+                     Rational(1));
+    models.emplace_back("empty row after substitution", std::move(m));
+  }
+  {
+    // 2a == -3 would need a < 0.
+    Model m;
+    VarId a = m.add_variable("a");
+    VarId b = m.add_variable("b");
+    m.set_objective(b, Rational(1));
+    m.add_constraint(LinearExpr().add(a, Rational(2)), Sense::kEqual,
+                     Rational(-3));
+    m.add_constraint(LinearExpr().add(b, Rational(1)), Sense::kLessEqual,
+                     Rational(1));
+    models.emplace_back("negative fix", std::move(m));
+  }
+  for (const auto& [name, m] : models) {
+    SCOPED_TRACE(name);
+    auto sol = ExactSolver().solve(m);
+    EXPECT_EQ(sol.status, SolveStatus::kInfeasible);
+    EXPECT_EQ(sol.method, "exact-simplex");
+  }
 }
 
 TEST(ExactSolver, UnboundedDetected) {
@@ -125,11 +163,9 @@ TEST(ExactSolver, ExactFallbackCountedWithoutPivots) {
   VarId z = infeasible.add_variable("z", Rational(0), Rational(1));
   infeasible.add_constraint(LinearExpr().add(z, Rational(1)),
                             Sense::kGreaterEqual, Rational(2));
-  ExactSolverOptions no_presolve;
-  no_presolve.presolve = false;
   const obs::Snapshot before = obs::Registry::global().snapshot();
   auto u = ExactSolver().solve(unbounded);
-  auto i = ExactSolver(no_presolve).solve(infeasible);
+  auto i = ExactSolver().solve(infeasible);
   const obs::Snapshot after = obs::Registry::global().snapshot();
   EXPECT_EQ(u.status, SolveStatus::kUnbounded);
   EXPECT_EQ(u.method, "exact-simplex");
@@ -214,6 +250,184 @@ TEST(ExactSolver, DegenerateVertexStillCertifies) {
   EXPECT_EQ(sol.objective, Rational(2));
 }
 
+TEST(ExactSolver, SingletonEqualityCertifiesUniqueDuals) {
+  // max 3a + b s.t. 2a == 4, a + b <= 5: a = 2, b = 3, objective 9. The
+  // cap row prices b (y2 = 1) and the equality absorbs the rest of a's
+  // objective: 2 y1 + y2 = 3, so y1 = 1.
+  Model m;
+  VarId a = m.add_variable("a");
+  VarId b = m.add_variable("b");
+  m.set_objective(a, Rational(3));
+  m.set_objective(b, Rational(1));
+  m.add_constraint(LinearExpr().add(a, Rational(2)), Sense::kEqual,
+                   Rational(4), "fix_a");
+  m.add_constraint(LinearExpr().add(a, Rational(1)).add(b, Rational(1)),
+                   Sense::kLessEqual, Rational(5), "cap");
+  auto sol = ExactSolver().solve(m);
+  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(sol.certified);
+  EXPECT_EQ(sol.objective, Rational(9));
+  EXPECT_EQ(sol.primal[0], Rational(2));
+  EXPECT_EQ(sol.primal[1], Rational(3));
+  ASSERT_EQ(sol.dual.size(), 2u);
+  EXPECT_EQ(sol.dual[0], Rational(1));
+  EXPECT_EQ(sol.dual[1], Rational(1));
+}
+
+TEST(ExactSolver, ForcedZeroChainCertifies) {
+  // u + v == 0 forces u = v = 0, and w - u <= 0 then forces w = 0. The
+  // objective rewards all four variables, so without those rows the
+  // optimum would be unbounded; only z <= 7 is left to bind.
+  Model m;
+  VarId u = m.add_variable("u");
+  VarId v = m.add_variable("v");
+  VarId w = m.add_variable("w");
+  VarId z = m.add_variable("z");
+  for (VarId var : {u, v, w, z}) m.set_objective(var, Rational(1));
+  m.add_constraint(LinearExpr().add(u, Rational(1)).add(v, Rational(1)),
+                   Sense::kEqual, Rational(0), "force_uv");
+  m.add_constraint(LinearExpr().add(w, Rational(1)).add(u, Rational(-1)),
+                   Sense::kLessEqual, Rational(0), "couple_wu");
+  m.add_constraint(LinearExpr().add(z, Rational(1)), Sense::kLessEqual,
+                   Rational(7), "cap_z");
+  auto sol = ExactSolver().solve(m);
+  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(sol.certified);
+  EXPECT_EQ(sol.objective, Rational(7));
+  EXPECT_EQ(sol.primal[0], Rational(0));
+  EXPECT_EQ(sol.primal[1], Rational(0));
+  EXPECT_EQ(sol.primal[2], Rational(0));
+  EXPECT_EQ(sol.primal[3], Rational(7));
+}
+
+TEST(ExactSolver, ProportionalRowsCertifyTightest) {
+  // Three proportional capacity rows, one of them negated; only
+  // x + y <= 3 binds.
+  Model m;
+  VarId x = m.add_variable("x");
+  VarId y = m.add_variable("y");
+  m.set_objective(x, Rational(1));
+  m.set_objective(y, Rational(1));
+  m.add_constraint(LinearExpr().add(x, Rational(2)).add(y, Rational(2)),
+                   Sense::kLessEqual, Rational(10), "loose");
+  m.add_constraint(LinearExpr().add(x, Rational(1)).add(y, Rational(1)),
+                   Sense::kLessEqual, Rational(3), "tight");
+  m.add_constraint(LinearExpr().add(x, Rational(-1)).add(y, Rational(-1)),
+                   Sense::kGreaterEqual, Rational(-4), "negated");
+  auto sol = ExactSolver().solve(m);
+  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(sol.certified);
+  EXPECT_EQ(sol.objective, Rational(3));
+}
+
+TEST(ExactSolver, FixedFractionalVariableCertifies) {
+  // 3a == 2 fixes a = 2/3; b + 2c <= 4 leaves b = 4 as the best use of the
+  // cap, so the optimum is 2/3 + 8 = 26/3.
+  Model m;
+  VarId a = m.add_variable("a");
+  VarId b = m.add_variable("b");
+  VarId c = m.add_variable("c");
+  m.set_objective(a, Rational(1));
+  m.set_objective(b, Rational(2));
+  m.set_objective(c, Rational(1));
+  m.add_constraint(LinearExpr().add(a, Rational(3)), Sense::kEqual,
+                   Rational(2), "fix_a");
+  m.add_constraint(LinearExpr().add(b, Rational(1)).add(c, Rational(2)),
+                   Sense::kLessEqual, Rational(4), "cap");
+  auto sol = ExactSolver().solve(m);
+  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(sol.certified);
+  EXPECT_EQ(sol.primal[0], Rational(2, 3));
+  EXPECT_EQ(sol.objective, Rational(26, 3));
+}
+
+TEST(ExactSolver, DegenerateModelWarmReSolveCertifies) {
+  // A degenerate optimum (redundant tight rows, zero-valued basics) with a
+  // fixed variable, a forced-zero pair, proportional rows and a column
+  // that only costs. The certified basis must feed a warm re-solve that
+  // certifies the same objective.
+  Model m;
+  VarId a = m.add_variable("a");
+  VarId b = m.add_variable("b");
+  VarId c = m.add_variable("c");
+  VarId dead = m.add_variable("dead");
+  m.set_objective(a, Rational(2));
+  m.set_objective(b, Rational(1));
+  m.set_objective(dead, Rational(-1));
+  m.add_constraint(LinearExpr().add(a, Rational(1)), Sense::kEqual,
+                   Rational(1), "fix_a");
+  m.add_constraint(LinearExpr().add(b, Rational(1)).add(c, Rational(1)),
+                   Sense::kEqual, Rational(0), "force_bc");
+  m.add_constraint(LinearExpr().add(a, Rational(1)).add(b, Rational(1)),
+                   Sense::kLessEqual, Rational(1), "tight1");
+  m.add_constraint(LinearExpr().add(a, Rational(2)).add(b, Rational(2)),
+                   Sense::kLessEqual, Rational(2), "tight2");
+  SolveContext context;
+  auto first = ExactSolver().solve(m, &context);
+  ASSERT_EQ(first.status, SolveStatus::kOptimal);
+  ASSERT_TRUE(first.certified);
+  EXPECT_EQ(first.objective, Rational(2));
+  ASSERT_FALSE(context.warm.empty());
+  auto warm = ExactSolver().solve(m, &context);
+  EXPECT_TRUE(warm.certified);
+  EXPECT_TRUE(context.warm_attempted);
+  EXPECT_EQ(warm.objective, first.objective);
+}
+
+TEST(ExactSolver, RandomizedAgreementWithExactSimplex) {
+  // Random small models salted with fixed variables, zero right-hand sides
+  // and duplicate structure: every solve must certify the objective the
+  // pure exact simplex proves, or agree with its verdict.
+  graph::Rng rng(2026);
+  for (int trial = 0; trial < 40; ++trial) {
+    Model m;
+    const std::size_t nv = 3 + rng.uniform(0, 4);
+    std::vector<VarId> vars;
+    for (std::size_t j = 0; j < nv; ++j) {
+      vars.push_back(m.add_variable("v" + std::to_string(j)));
+      m.set_objective(vars.back(),
+                      Rational(static_cast<std::int64_t>(rng.uniform(0, 4))));
+    }
+    const std::size_t nr = 2 + rng.uniform(0, 4);
+    for (std::size_t i = 0; i < nr; ++i) {
+      LinearExpr expr;
+      for (const VarId v : vars) {
+        if (rng.uniform(0, 2) == 0) continue;
+        expr.add(v, Rational(static_cast<std::int64_t>(rng.uniform(1, 5))));
+      }
+      if (expr.empty()) expr.add(vars[0], Rational(1));
+      const int kind = static_cast<int>(rng.uniform(0, 3));
+      const Sense sense = kind == 0 ? Sense::kLessEqual
+                          : kind == 1 ? Sense::kGreaterEqual
+                                      : Sense::kEqual;
+      // Mostly feasible right-hand sides; occasionally zero, which forces
+      // every variable of an equality row to zero.
+      const Rational rhs(
+          static_cast<std::int64_t>(rng.uniform(0, 3) == 0 ? 0
+                                                           : rng.uniform(1, 9)));
+      m.add_constraint(expr, sense, rhs, "r" + std::to_string(i));
+    }
+    // A singleton == row fixes a variable on some trials.
+    if (rng.uniform(0, 2) == 0) {
+      m.add_constraint(LinearExpr().add(vars[0], Rational(2)), Sense::kEqual,
+                       Rational(static_cast<std::int64_t>(rng.uniform(0, 5))),
+                       "fix");
+    }
+    // Cap everything so the model cannot be unbounded.
+    LinearExpr cap;
+    for (const VarId v : vars) cap.add(v, Rational(1));
+    m.add_constraint(cap, Sense::kLessEqual, Rational(20), "cap_all");
+
+    auto fast = ExactSolver().solve(m);
+    auto exact = solve_exact_simplex(m);
+    ASSERT_EQ(fast.status, exact.status) << "trial " << trial;
+    if (exact.status == SolveStatus::kOptimal) {
+      EXPECT_TRUE(fast.certified) << "trial " << trial;
+      EXPECT_EQ(fast.objective, exact.objective) << "trial " << trial;
+    }
+  }
+}
+
 TEST(ExactSolver, RegistryCountsEveryConcurrentSolve) {
   // The documented contract: one solver, many concurrent solve() calls,
   // each with its own SolveContext; the registry must not lose a solve.
@@ -258,7 +472,6 @@ TEST(ExactSolver, OneSolveRegistersEverySolverCounter) {
   for (const char* name :
        {"solver_solves", "solver_float_pivots", "solver_exact_pivots",
         "solver_warm_attempts", "solver_warm_solves", "solver_exact_fallbacks",
-        "solver_presolve_rows_removed", "solver_presolve_cols_removed",
         "solver_colgen_solves", "solver_colgen_rounds",
         "solver_colgen_columns_generated", "solver_ftran_ns",
         "solver_btran_ns", "solver_pricing_ns", "solver_factor_ns",

@@ -33,10 +33,12 @@ bool PeriodicSchedule::has_integral_messages() const {
 }
 
 Rational PeriodicSchedule::delivered_per_period(
-    graph::NodeId node, std::size_t type, const graph::Digraph& graph) const {
+    std::size_t type, const graph::Digraph& graph) const {
   Rational total(0);
+  if (type >= sink_of_type.size()) return total;
+  const graph::NodeId sink = sink_of_type[type];
   for (const CommActivity& c : comms) {
-    if (c.type == type && graph.edge(c.edge).dst == node) {
+    if (c.type == type && graph.edge(c.edge).dst == sink) {
       total += c.messages;
     }
   }

@@ -72,9 +72,9 @@ struct PeriodicSchedule {
   /// messages (no message is split across time slices).
   [[nodiscard]] bool has_integral_messages() const;
 
-  /// Messages of `type` delivered per period into `node`.
-  [[nodiscard]] Rational delivered_per_period(graph::NodeId node,
-                                              std::size_t type,
+  /// Messages of `type` delivered per period into its sink
+  /// (sink_of_type); 0 for a type without a sink.
+  [[nodiscard]] Rational delivered_per_period(std::size_t type,
                                               const graph::Digraph& graph) const;
 
   /// Human-readable timeline (one line per activity, sorted by start time).

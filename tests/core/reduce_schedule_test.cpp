@@ -33,8 +33,8 @@ TEST(ReduceSchedule, Fig6OnePortValidAndThroughputRealized) {
   // Completed reductions per period: full-interval arrivals at the target
   // plus final merges computed there.
   const IntervalSpace sp(inst.participants.size());
-  Rational completed = sched.delivered_per_period(
-      inst.target, sp.full_interval_id(), inst.platform.graph());
+  Rational completed =
+      sched.delivered_per_period(sp.full_interval_id(), inst.platform.graph());
   for (const CompActivity& c : sched.comps) {
     auto [k, l, m] = sp.task(c.task);
     if (c.node == inst.target && k == 0 && m == sp.n() - 1) {

@@ -48,12 +48,18 @@ TEST(Schedule, DeliveredPerPeriodSumsInboundOfType) {
   graph::EdgeId e21 = g.add_edge(2, 1);
   PeriodicSchedule s;
   s.period = R("1");
+  // Types 7 and 8 are absorbed at node 1; type 6 has no sink.
+  s.supplier_of_type.assign(9, graph::kInvalidId);
+  s.sink_of_type.assign(9, graph::kInvalidId);
+  s.sink_of_type[7] = 1;
+  s.sink_of_type[8] = 1;
   s.comms.push_back(CommActivity{e01, 7, R("0"), R("1/2"), R("2")});
   s.comms.push_back(CommActivity{e21, 7, R("1/2"), R("1"), R("1/3")});
   s.comms.push_back(CommActivity{e01, 8, R("1/2"), R("1"), R("5")});
-  EXPECT_EQ(s.delivered_per_period(1, 7, g), R("7/3"));
-  EXPECT_EQ(s.delivered_per_period(1, 8, g), R("5"));
-  EXPECT_EQ(s.delivered_per_period(0, 7, g), R("0"));
+  s.comms.push_back(CommActivity{e21, 6, R("0"), R("1/2"), R("4")});
+  EXPECT_EQ(s.delivered_per_period(7, g), R("7/3"));
+  EXPECT_EQ(s.delivered_per_period(8, g), R("5"));
+  EXPECT_EQ(s.delivered_per_period(6, g), R("0"));
 }
 
 TEST(Schedule, ToStringSortsByStart) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <compare>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -218,6 +220,68 @@ TEST(BigInt, GcdLcmAndNormalizationMatchInt128Reference) {
       const Rational r(-ba, bb);
       EXPECT_EQ(r.num(), -big_of(a / g));
       EXPECT_EQ(r.den(), big_of(b / g));
+    }
+  }
+}
+
+// +, -, *, /, %, <=> and to_string against signed __int128 at the limb and
+// word boundaries and on seeded 1- to 4-limb operands. Only pairs whose
+// result fits 127 bits are compared; products take factors below 2^63.
+using i128 = __int128;
+
+BigInt big_of_signed(i128 v) {
+  return v < 0 ? -big_of(static_cast<u128>(-v)) : big_of(static_cast<u128>(v));
+}
+
+std::string i128_text(i128 v) {
+  return v < 0 ? "-" + u128_text(static_cast<u128>(-v))
+               : u128_text(static_cast<u128>(v));
+}
+
+TEST(BigInt, ArithmeticMatchesInt128Reference) {
+  const i128 one = 1;
+  std::vector<i128> values = {0, (one << 64) - 1};
+  for (const i128 m : {one, (one << 31) - 1, one << 31, (one << 32) - 1,
+                       one << 32, (one << 63) - 1, one << 63, one << 95}) {
+    values.push_back(m);
+    values.push_back(-m);
+  }
+  // Seeded operands of 1 to 4 limbs, the top limb's high bit varying; four
+  // limbs stop at 126 bits so a sum of two still fits 127.
+  std::mt19937_64 rng(20261019);
+  for (int i = 0; i < 40; ++i) {
+    const int limbs = 1 + static_cast<int>(rng() % 4);
+    const int bits = std::min(32 * (limbs - 1) + 1 + static_cast<int>(rng() % 32),
+                              126);
+    const u128 raw = (static_cast<u128>(rng()) << 64) | rng();
+    const u128 mask = (static_cast<u128>(1) << bits) - 1;
+    const i128 magnitude =
+        static_cast<i128>((raw & mask) | (static_cast<u128>(1) << (bits - 1)));
+    values.push_back(rng() % 2 == 0 ? magnitude : -magnitude);
+  }
+  const i128 factor_limit = one << 63;
+  auto below = [](i128 v, i128 limit) { return v < limit && -v < limit; };
+  for (const i128 a : values) {
+    const BigInt ba = big_of_signed(a);
+    ASSERT_EQ(ba.to_string(), i128_text(a));
+    for (const i128 b : values) {
+      SCOPED_TRACE("a=" + i128_text(a) + " b=" + i128_text(b));
+      const BigInt bb = big_of_signed(b);
+      i128 r = 0;
+      if (!__builtin_add_overflow(a, b, &r)) {
+        EXPECT_EQ((ba + bb).to_string(), i128_text(r));
+      }
+      if (!__builtin_sub_overflow(a, b, &r)) {
+        EXPECT_EQ((ba - bb).to_string(), i128_text(r));
+      }
+      if (below(a, factor_limit) && below(b, factor_limit)) {
+        EXPECT_EQ((ba * bb).to_string(), i128_text(a * b));
+      }
+      if (b != 0) {
+        EXPECT_EQ((ba / bb).to_string(), i128_text(a / b));
+        EXPECT_EQ((ba % bb).to_string(), i128_text(a % b));
+      }
+      EXPECT_EQ(ba <=> bb, a <=> b);
     }
   }
 }

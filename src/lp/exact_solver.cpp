@@ -129,6 +129,24 @@ std::optional<BasisVerified> verify_from_basis(
   return out;
 }
 
+/// Fills `out` from an exact optimal pair of `em` (`x` in shifted space):
+/// status kOptimal, objective c'x plus the shift constant, the unshifted
+/// primal, the dual, certified, and `method`.
+void set_exact_optimum(ExactSolution& out, const ExpandedModel& em,
+                       const std::vector<Rational>& x, std::vector<Rational> y,
+                       std::string method) {
+  Rational obj(0);
+  for (std::size_t j = 0; j < em.num_vars; ++j) {
+    if (!em.objective[j].is_zero()) obj.add_product(em.objective[j], x[j]);
+  }
+  out.status = SolveStatus::kOptimal;
+  out.objective = obj + em.objective_constant;
+  out.primal = em.unshift(x);
+  out.dual = std::move(y);
+  out.certified = true;
+  out.method = std::move(method);
+}
+
 }  // namespace
 
 bool ExactSolver::verify_certificate(const ExpandedModel& em,
@@ -245,23 +263,6 @@ bool ExactSolver::certify_float_result(const ExpandedModel& em,
   set_exact_optimum(out, em, verified->primal, std::move(verified->dual),
                     label + "basis-verification");
   return true;
-}
-
-void ExactSolver::set_exact_optimum(ExactSolution& out,
-                                    const ExpandedModel& em,
-                                    const std::vector<Rational>& x,
-                                    std::vector<Rational> y,
-                                    std::string method) {
-  Rational obj(0);
-  for (std::size_t j = 0; j < em.num_vars; ++j) {
-    if (!em.objective[j].is_zero()) obj.add_product(em.objective[j], x[j]);
-  }
-  out.status = SolveStatus::kOptimal;
-  out.objective = obj + em.objective_constant;
-  out.primal = em.unshift(x);
-  out.dual = std::move(y);
-  out.certified = true;
-  out.method = std::move(method);
 }
 
 std::vector<BasisColumn> ExactSolver::solve_exact_rung(

@@ -221,25 +221,19 @@ class ExactSolver {
   /// rational reconstruction of the float primal/dual pair at each
   /// denominator cap (2^12, 2^20, 2^26), clamped and verified, then exact
   /// recovery from the optimal basis (lp/exact_basis.h), verified. The
-  /// first verified pair fills `out` (set_exact_optimum) with method
-  /// `label` + the rung ("certificate" or "basis-verification") and the
-  /// ladder returns true; false when every rung failed. Shared by the
-  /// cold, warm and column-generation paths.
+  /// first verified pair fills `out` as an exact optimum (objective, the
+  /// unshifted primal, dual, certified) with method `label` + the rung
+  /// ("certificate" or "basis-verification") and the ladder returns true;
+  /// false when every rung failed. Shared by the cold, warm and
+  /// column-generation paths.
   [[nodiscard]] static bool certify_float_result(
       const ExpandedModel& em, const SimplexResult<double>& fp,
       const std::string& label, ExactSolution& out, const Parallel& parallel);
 
-  /// Fills `out` from an exact optimal pair of `em` (`x` in shifted space):
-  /// status kOptimal, objective c'x plus the shift constant, the unshifted
-  /// primal, the dual, certified, and `method`.
-  static void set_exact_optimum(ExactSolution& out, const ExpandedModel& em,
-                                const std::vector<Rational>& x,
-                                std::vector<Rational> y, std::string method);
-
   /// The exact rung: solves `em` with the rational simplex and records it
   /// in `out` — exact pivots added, status and `method`, and the exact
-  /// optimum (set_exact_optimum) when it reaches one. Returns the final
-  /// basis (empty unless optimal).
+  /// optimum when it reaches one. Returns the final basis (empty unless
+  /// optimal).
   static std::vector<BasisColumn> solve_exact_rung(
       const ExpandedModel& em, const SimplexOptions& options,
       std::string method, ExactSolution& out);

@@ -77,7 +77,9 @@ struct Pin {
 };
 
 // Recorded from the separate scatter and gossip builders that the shared
-// flow builder replaced.
+// flow builder replaced. Nine pivot counts (scatter 4, 5, 8, 10, 16;
+// gossip 0, 9, 15; gather 9) were re-recorded when cold solves began
+// running the float pass on the model as built, without reductions.
 constexpr Pin kScatterPins[kSeeded + 1] = {
     {0x80181e4e114289f1ull, 0x1683d5c05e23648eull, "1/2", 6},
     {0xe0ff22e0318f0f51ull, 0x8f27cee97bcd2d0cull, "12/19", 7},

@@ -250,95 +250,95 @@ TEST(ExactSolver, DegenerateVertexStillCertifies) {
   EXPECT_EQ(sol.objective, Rational(2));
 }
 
-TEST(ExactSolver, SingletonEqualityCertifiesUniqueDuals) {
-  // max 3a + b s.t. 2a == 4, a + b <= 5: a = 2, b = 3, objective 9. The
-  // cap row prices b (y2 = 1) and the equality absorbs the rest of a's
-  // objective: 2 y1 + y2 = 3, so y1 = 1.
-  Model m;
-  VarId a = m.add_variable("a");
-  VarId b = m.add_variable("b");
-  m.set_objective(a, Rational(3));
-  m.set_objective(b, Rational(1));
-  m.add_constraint(LinearExpr().add(a, Rational(2)), Sense::kEqual,
-                   Rational(4), "fix_a");
-  m.add_constraint(LinearExpr().add(a, Rational(1)).add(b, Rational(1)),
-                   Sense::kLessEqual, Rational(5), "cap");
-  auto sol = ExactSolver().solve(m);
-  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
-  EXPECT_TRUE(sol.certified);
-  EXPECT_EQ(sol.objective, Rational(9));
-  EXPECT_EQ(sol.primal[0], Rational(2));
-  EXPECT_EQ(sol.primal[1], Rational(3));
-  ASSERT_EQ(sol.dual.size(), 2u);
-  EXPECT_EQ(sol.dual[0], Rational(1));
-  EXPECT_EQ(sol.dual[1], Rational(1));
-}
-
-TEST(ExactSolver, ForcedZeroChainCertifies) {
-  // u + v == 0 forces u = v = 0, and w - u <= 0 then forces w = 0. The
-  // objective rewards all four variables, so without those rows the
-  // optimum would be unbounded; only z <= 7 is left to bind.
-  Model m;
-  VarId u = m.add_variable("u");
-  VarId v = m.add_variable("v");
-  VarId w = m.add_variable("w");
-  VarId z = m.add_variable("z");
-  for (VarId var : {u, v, w, z}) m.set_objective(var, Rational(1));
-  m.add_constraint(LinearExpr().add(u, Rational(1)).add(v, Rational(1)),
-                   Sense::kEqual, Rational(0), "force_uv");
-  m.add_constraint(LinearExpr().add(w, Rational(1)).add(u, Rational(-1)),
-                   Sense::kLessEqual, Rational(0), "couple_wu");
-  m.add_constraint(LinearExpr().add(z, Rational(1)), Sense::kLessEqual,
-                   Rational(7), "cap_z");
-  auto sol = ExactSolver().solve(m);
-  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
-  EXPECT_TRUE(sol.certified);
-  EXPECT_EQ(sol.objective, Rational(7));
-  EXPECT_EQ(sol.primal[0], Rational(0));
-  EXPECT_EQ(sol.primal[1], Rational(0));
-  EXPECT_EQ(sol.primal[2], Rational(0));
-  EXPECT_EQ(sol.primal[3], Rational(7));
-}
-
-TEST(ExactSolver, ProportionalRowsCertifyTightest) {
-  // Three proportional capacity rows, one of them negated; only
-  // x + y <= 3 binds.
-  Model m;
-  VarId x = m.add_variable("x");
-  VarId y = m.add_variable("y");
-  m.set_objective(x, Rational(1));
-  m.set_objective(y, Rational(1));
-  m.add_constraint(LinearExpr().add(x, Rational(2)).add(y, Rational(2)),
-                   Sense::kLessEqual, Rational(10), "loose");
-  m.add_constraint(LinearExpr().add(x, Rational(1)).add(y, Rational(1)),
-                   Sense::kLessEqual, Rational(3), "tight");
-  m.add_constraint(LinearExpr().add(x, Rational(-1)).add(y, Rational(-1)),
-                   Sense::kGreaterEqual, Rational(-4), "negated");
-  auto sol = ExactSolver().solve(m);
-  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
-  EXPECT_TRUE(sol.certified);
-  EXPECT_EQ(sol.objective, Rational(3));
-}
-
-TEST(ExactSolver, FixedFractionalVariableCertifies) {
-  // 3a == 2 fixes a = 2/3; b + 2c <= 4 leaves b = 4 as the best use of the
-  // cap, so the optimum is 2/3 + 8 = 26/3.
-  Model m;
-  VarId a = m.add_variable("a");
-  VarId b = m.add_variable("b");
-  VarId c = m.add_variable("c");
-  m.set_objective(a, Rational(1));
-  m.set_objective(b, Rational(2));
-  m.set_objective(c, Rational(1));
-  m.add_constraint(LinearExpr().add(a, Rational(3)), Sense::kEqual,
-                   Rational(2), "fix_a");
-  m.add_constraint(LinearExpr().add(b, Rational(1)).add(c, Rational(2)),
-                   Sense::kLessEqual, Rational(4), "cap");
-  auto sol = ExactSolver().solve(m);
-  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
-  EXPECT_TRUE(sol.certified);
-  EXPECT_EQ(sol.primal[0], Rational(2, 3));
-  EXPECT_EQ(sol.objective, Rational(26, 3));
+TEST(ExactSolver, RedundantStructureCertifiesOnTheFullModel) {
+  // Rows that fix a variable, force variables to zero or repeat another
+  // row up to a factor: the float pass and the certificate run on the
+  // model as written, and the exact optimum must come out.
+  struct Case {
+    const char* name;
+    Model model;
+    Rational objective;
+    std::vector<Rational> primal;  // empty: the optimum is not unique
+    std::vector<Rational> dual;    // empty: not checked
+  };
+  std::vector<Case> cases;
+  {
+    // max 3a + b s.t. 2a == 4, a + b <= 5: a = 2, b = 3. The cap row
+    // prices b (y2 = 1) and the equality absorbs the rest of a's
+    // objective: 2 y1 + y2 = 3, so y1 = 1.
+    Model m;
+    VarId a = m.add_variable("a");
+    VarId b = m.add_variable("b");
+    m.set_objective(a, Rational(3));
+    m.set_objective(b, Rational(1));
+    m.add_constraint(LinearExpr().add(a, Rational(2)), Sense::kEqual,
+                     Rational(4), "fix_a");
+    m.add_constraint(LinearExpr().add(a, Rational(1)).add(b, Rational(1)),
+                     Sense::kLessEqual, Rational(5), "cap");
+    cases.push_back({"singleton equality", std::move(m), Rational(9),
+                     {Rational(2), Rational(3)}, {Rational(1), Rational(1)}});
+  }
+  {
+    // u + v == 0 forces u = v = 0, and w - u <= 0 then forces w = 0.
+    // Every variable is rewarded, so only those rows and z <= 7 keep the
+    // optimum finite.
+    Model m;
+    VarId u = m.add_variable("u");
+    VarId v = m.add_variable("v");
+    VarId w = m.add_variable("w");
+    VarId z = m.add_variable("z");
+    for (const VarId var : {u, v, w, z}) m.set_objective(var, Rational(1));
+    m.add_constraint(LinearExpr().add(u, Rational(1)).add(v, Rational(1)),
+                     Sense::kEqual, Rational(0), "force_uv");
+    m.add_constraint(LinearExpr().add(w, Rational(1)).add(u, Rational(-1)),
+                     Sense::kLessEqual, Rational(0), "couple_wu");
+    m.add_constraint(LinearExpr().add(z, Rational(1)), Sense::kLessEqual,
+                     Rational(7), "cap_z");
+    cases.push_back({"forced zero chain", std::move(m), Rational(7),
+                     {Rational(0), Rational(0), Rational(0), Rational(7)},
+                     {}});
+  }
+  {
+    // Three proportional capacity rows, one negated; x + y <= 3 binds.
+    Model m;
+    VarId x = m.add_variable("x");
+    VarId y = m.add_variable("y");
+    m.set_objective(x, Rational(1));
+    m.set_objective(y, Rational(1));
+    m.add_constraint(LinearExpr().add(x, Rational(2)).add(y, Rational(2)),
+                     Sense::kLessEqual, Rational(10), "loose");
+    m.add_constraint(LinearExpr().add(x, Rational(1)).add(y, Rational(1)),
+                     Sense::kLessEqual, Rational(3), "tight");
+    m.add_constraint(LinearExpr().add(x, Rational(-1)).add(y, Rational(-1)),
+                     Sense::kGreaterEqual, Rational(-4), "negated");
+    cases.push_back({"proportional rows", std::move(m), Rational(3), {}, {}});
+  }
+  {
+    // 3a == 2 fixes a = 2/3, and b + 2c <= 4 is best spent on b = 4:
+    // 2/3 + 8 = 26/3.
+    Model m;
+    VarId a = m.add_variable("a");
+    VarId b = m.add_variable("b");
+    VarId c = m.add_variable("c");
+    m.set_objective(a, Rational(1));
+    m.set_objective(b, Rational(2));
+    m.set_objective(c, Rational(1));
+    m.add_constraint(LinearExpr().add(a, Rational(3)), Sense::kEqual,
+                     Rational(2), "fix_a");
+    m.add_constraint(LinearExpr().add(b, Rational(1)).add(c, Rational(2)),
+                     Sense::kLessEqual, Rational(4), "cap");
+    cases.push_back({"fractional fix", std::move(m), Rational(26, 3),
+                     {Rational(2, 3), Rational(4), Rational(0)}, {}});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto sol = ExactSolver().solve(c.model);
+    ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+    EXPECT_TRUE(sol.certified);
+    EXPECT_EQ(sol.objective, c.objective);
+    if (!c.primal.empty()) EXPECT_EQ(sol.primal, c.primal);
+    if (!c.dual.empty()) EXPECT_EQ(sol.dual, c.dual);
+  }
 }
 
 TEST(ExactSolver, DegenerateModelWarmReSolveCertifies) {

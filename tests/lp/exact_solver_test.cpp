@@ -6,7 +6,6 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "graph/rng.h"
@@ -29,6 +28,23 @@ Model classic() {
   m.add_constraint(LinearExpr().add(x, Rational(3)).add(y, Rational(1)),
                    Sense::kLessEqual, Rational(6));
   return m;
+}
+
+/// Solves `m` and asserts it certifies `objective`; returns the solution.
+ExactSolution expect_certified(const Model& m, const Rational& objective) {
+  auto sol = ExactSolver().solve(m);
+  EXPECT_EQ(sol.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(sol.certified);
+  EXPECT_EQ(sol.objective, objective);
+  return sol;
+}
+
+/// Solves `m` and asserts the rational simplex proved it infeasible —
+/// never a float verdict.
+void expect_proved_infeasible(const Model& m) {
+  auto sol = ExactSolver().solve(m);
+  EXPECT_EQ(sol.status, SolveStatus::kInfeasible);
+  EXPECT_EQ(sol.method, "exact-simplex");
 }
 
 TEST(ExactSolver, CertifiesViaDoublePath) {
@@ -92,57 +108,12 @@ TEST(ExactSolver, FallsBackWhenReconstructionImpossible) {
 }
 
 TEST(ExactSolver, InfeasibleProvenByExactPath) {
-  // Each model is infeasible; the rational simplex must be the prover —
-  // never a float verdict.
-  std::vector<std::pair<const char*, Model>> models;
-  {
-    // x <= 1 (bound row) conflicts with x >= 2.
-    Model m;
-    VarId x = m.add_variable("x", Rational(0), Rational(1));
-    m.add_constraint(LinearExpr().add(x, Rational(1)), Sense::kGreaterEqual,
-                     Rational(2));
-    models.emplace_back("bound conflict", std::move(m));
-  }
-  {
-    // x + y == 2 and 2x + 2y == 6: proportional equalities that disagree.
-    Model m;
-    VarId x = m.add_variable("x");
-    VarId y = m.add_variable("y");
-    m.add_constraint(LinearExpr().add(x, Rational(1)).add(y, Rational(1)),
-                     Sense::kEqual, Rational(2));
-    m.add_constraint(LinearExpr().add(x, Rational(2)).add(y, Rational(2)),
-                     Sense::kEqual, Rational(6));
-    models.emplace_back("duplicate equality conflict", std::move(m));
-  }
-  {
-    // a == 1 substituted into 2a <= 1 leaves 0 <= -1.
-    Model m;
-    VarId a = m.add_variable("a");
-    m.set_objective(a, Rational(1));
-    m.add_constraint(LinearExpr().add(a, Rational(1)), Sense::kEqual,
-                     Rational(1));
-    m.add_constraint(LinearExpr().add(a, Rational(2)), Sense::kLessEqual,
-                     Rational(1));
-    models.emplace_back("empty row after substitution", std::move(m));
-  }
-  {
-    // 2a == -3 would need a < 0.
-    Model m;
-    VarId a = m.add_variable("a");
-    VarId b = m.add_variable("b");
-    m.set_objective(b, Rational(1));
-    m.add_constraint(LinearExpr().add(a, Rational(2)), Sense::kEqual,
-                     Rational(-3));
-    m.add_constraint(LinearExpr().add(b, Rational(1)), Sense::kLessEqual,
-                     Rational(1));
-    models.emplace_back("negative fix", std::move(m));
-  }
-  for (const auto& [name, m] : models) {
-    SCOPED_TRACE(name);
-    auto sol = ExactSolver().solve(m);
-    EXPECT_EQ(sol.status, SolveStatus::kInfeasible);
-    EXPECT_EQ(sol.method, "exact-simplex");
-  }
+  // x <= 1 (bound row) conflicts with x >= 2.
+  Model m;
+  VarId x = m.add_variable("x", Rational(0), Rational(1));
+  m.add_constraint(LinearExpr().add(x, Rational(1)), Sense::kGreaterEqual,
+                   Rational(2));
+  expect_proved_infeasible(m);
 }
 
 TEST(ExactSolver, UnboundedDetected) {
@@ -250,95 +221,138 @@ TEST(ExactSolver, DegenerateVertexStillCertifies) {
   EXPECT_EQ(sol.objective, Rational(2));
 }
 
-TEST(ExactSolver, RedundantStructureCertifiesOnTheFullModel) {
-  // Rows that fix a variable, force variables to zero or repeat another
-  // row up to a factor: the float pass and the certificate run on the
-  // model as written, and the exact optimum must come out.
-  struct Case {
-    const char* name;
-    Model model;
-    Rational objective;
-    std::vector<Rational> primal;  // empty: the optimum is not unique
-    std::vector<Rational> dual;    // empty: not checked
-  };
-  std::vector<Case> cases;
-  {
-    // max 3a + b s.t. 2a == 4, a + b <= 5: a = 2, b = 3. The cap row
-    // prices b (y2 = 1) and the equality absorbs the rest of a's
-    // objective: 2 y1 + y2 = 3, so y1 = 1.
-    Model m;
-    VarId a = m.add_variable("a");
-    VarId b = m.add_variable("b");
-    m.set_objective(a, Rational(3));
-    m.set_objective(b, Rational(1));
-    m.add_constraint(LinearExpr().add(a, Rational(2)), Sense::kEqual,
-                     Rational(4), "fix_a");
-    m.add_constraint(LinearExpr().add(a, Rational(1)).add(b, Rational(1)),
-                     Sense::kLessEqual, Rational(5), "cap");
-    cases.push_back({"singleton equality", std::move(m), Rational(9),
-                     {Rational(2), Rational(3)}, {Rational(1), Rational(1)}});
-  }
-  {
-    // u + v == 0 forces u = v = 0, and w - u <= 0 then forces w = 0.
-    // Every variable is rewarded, so only those rows and z <= 7 keep the
-    // optimum finite.
-    Model m;
-    VarId u = m.add_variable("u");
-    VarId v = m.add_variable("v");
-    VarId w = m.add_variable("w");
-    VarId z = m.add_variable("z");
-    for (const VarId var : {u, v, w, z}) m.set_objective(var, Rational(1));
-    m.add_constraint(LinearExpr().add(u, Rational(1)).add(v, Rational(1)),
-                     Sense::kEqual, Rational(0), "force_uv");
-    m.add_constraint(LinearExpr().add(w, Rational(1)).add(u, Rational(-1)),
-                     Sense::kLessEqual, Rational(0), "couple_wu");
-    m.add_constraint(LinearExpr().add(z, Rational(1)), Sense::kLessEqual,
-                     Rational(7), "cap_z");
-    cases.push_back({"forced zero chain", std::move(m), Rational(7),
-                     {Rational(0), Rational(0), Rational(0), Rational(7)},
-                     {}});
-  }
-  {
-    // Three proportional capacity rows, one negated; x + y <= 3 binds.
-    Model m;
-    VarId x = m.add_variable("x");
-    VarId y = m.add_variable("y");
-    m.set_objective(x, Rational(1));
-    m.set_objective(y, Rational(1));
-    m.add_constraint(LinearExpr().add(x, Rational(2)).add(y, Rational(2)),
-                     Sense::kLessEqual, Rational(10), "loose");
-    m.add_constraint(LinearExpr().add(x, Rational(1)).add(y, Rational(1)),
-                     Sense::kLessEqual, Rational(3), "tight");
-    m.add_constraint(LinearExpr().add(x, Rational(-1)).add(y, Rational(-1)),
-                     Sense::kGreaterEqual, Rational(-4), "negated");
-    cases.push_back({"proportional rows", std::move(m), Rational(3), {}, {}});
-  }
-  {
-    // 3a == 2 fixes a = 2/3, and b + 2c <= 4 is best spent on b = 4:
-    // 2/3 + 8 = 26/3.
-    Model m;
-    VarId a = m.add_variable("a");
-    VarId b = m.add_variable("b");
-    VarId c = m.add_variable("c");
-    m.set_objective(a, Rational(1));
-    m.set_objective(b, Rational(2));
-    m.set_objective(c, Rational(1));
-    m.add_constraint(LinearExpr().add(a, Rational(3)), Sense::kEqual,
-                     Rational(2), "fix_a");
-    m.add_constraint(LinearExpr().add(b, Rational(1)).add(c, Rational(2)),
-                     Sense::kLessEqual, Rational(4), "cap");
-    cases.push_back({"fractional fix", std::move(m), Rational(26, 3),
-                     {Rational(2, 3), Rational(4), Rational(0)}, {}});
-  }
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    auto sol = ExactSolver().solve(c.model);
-    ASSERT_EQ(sol.status, SolveStatus::kOptimal);
-    EXPECT_TRUE(sol.certified);
-    EXPECT_EQ(sol.objective, c.objective);
-    if (!c.primal.empty()) EXPECT_EQ(sol.primal, c.primal);
-    if (!c.dual.empty()) EXPECT_EQ(sol.dual, c.dual);
-  }
+// Models whose rows a presolve would reduce: a singleton equality that
+// fixes a variable, a forcing row, proportional duplicates, a conflict
+// that one substitution exposes. The solver keeps every row — the float
+// pass, the certificate and the exact rung run on the model as written —
+// and each test checks the exact answer that must come out.
+
+TEST(Presolve, IdentityOnIrreducibleModel) {
+  // The classic 2x2 has no redundant row. The solution is indexed by the
+  // model's own columns and rows, and the pair verifies on the expanded
+  // model directly: x = 8/5, y = 6/5; the duals solve y1 + 3 y2 = 1 and
+  // 2 y1 + y2 = 1.
+  const Model m = classic();
+  auto sol = expect_certified(m, Rational(14, 5));
+  EXPECT_EQ(sol.primal,
+            (std::vector<Rational>{Rational(8, 5), Rational(6, 5)}));
+  EXPECT_EQ(sol.dual, (std::vector<Rational>{Rational(2, 5), Rational(1, 5)}));
+  EXPECT_TRUE(ExactSolver::verify_certificate(ExpandedModel::from(m),
+                                              sol.primal, sol.dual));
+}
+
+TEST(Presolve, SingletonEqualityFixesVariableAndReconstructsDual) {
+  // max 3a + b s.t. 2a == 4, a + b <= 5: a = 2, b = 3. The cap row prices
+  // b (y2 = 1) and the equality absorbs the rest of a's objective:
+  // 2 y1 + y2 = 3, so y1 = 1.
+  Model m;
+  VarId a = m.add_variable("a");
+  VarId b = m.add_variable("b");
+  m.set_objective(a, Rational(3));
+  m.set_objective(b, Rational(1));
+  m.add_constraint(LinearExpr().add(a, Rational(2)), Sense::kEqual,
+                   Rational(4), "fix_a");
+  m.add_constraint(LinearExpr().add(a, Rational(1)).add(b, Rational(1)),
+                   Sense::kLessEqual, Rational(5), "cap");
+  auto sol = expect_certified(m, Rational(9));
+  EXPECT_EQ(sol.primal, (std::vector<Rational>{Rational(2), Rational(3)}));
+  EXPECT_EQ(sol.dual, (std::vector<Rational>{Rational(1), Rational(1)}));
+}
+
+TEST(Presolve, ForcingRowCascadeFixesChain) {
+  // u + v == 0 forces u = v = 0, and w - u <= 0 then forces w = 0. Every
+  // variable is rewarded, so only those rows and z <= 7 keep the optimum
+  // finite.
+  Model m;
+  VarId u = m.add_variable("u");
+  VarId v = m.add_variable("v");
+  VarId w = m.add_variable("w");
+  VarId z = m.add_variable("z");
+  for (const VarId var : {u, v, w, z}) m.set_objective(var, Rational(1));
+  m.add_constraint(LinearExpr().add(u, Rational(1)).add(v, Rational(1)),
+                   Sense::kEqual, Rational(0), "force_uv");
+  m.add_constraint(LinearExpr().add(w, Rational(1)).add(u, Rational(-1)),
+                   Sense::kLessEqual, Rational(0), "couple_wu");
+  m.add_constraint(LinearExpr().add(z, Rational(1)), Sense::kLessEqual,
+                   Rational(7), "cap_z");
+  auto sol = expect_certified(m, Rational(7));
+  EXPECT_EQ(sol.primal, (std::vector<Rational>{Rational(0), Rational(0),
+                                               Rational(0), Rational(7)}));
+}
+
+TEST(Presolve, DuplicateRowsKeepTightest) {
+  // Three proportional capacity rows, one negated; only x + y <= 3 binds.
+  Model m;
+  VarId x = m.add_variable("x");
+  VarId y = m.add_variable("y");
+  m.set_objective(x, Rational(1));
+  m.set_objective(y, Rational(1));
+  m.add_constraint(LinearExpr().add(x, Rational(2)).add(y, Rational(2)),
+                   Sense::kLessEqual, Rational(10), "loose");
+  m.add_constraint(LinearExpr().add(x, Rational(1)).add(y, Rational(1)),
+                   Sense::kLessEqual, Rational(3), "tight");
+  m.add_constraint(LinearExpr().add(x, Rational(-1)).add(y, Rational(-1)),
+                   Sense::kGreaterEqual, Rational(-4), "negated");
+  expect_certified(m, Rational(3));
+}
+
+TEST(Presolve, PostsolveLiftIsExact) {
+  // 3a == 2 fixes a = 2/3, and b + 2c <= 4 is best spent on b = 4:
+  // 2/3 + 8 = 26/3. The returned pair passes the full-model certificate
+  // verbatim.
+  Model m;
+  VarId a = m.add_variable("a");
+  VarId b = m.add_variable("b");
+  VarId c = m.add_variable("c");
+  m.set_objective(a, Rational(1));
+  m.set_objective(b, Rational(2));
+  m.set_objective(c, Rational(1));
+  m.add_constraint(LinearExpr().add(a, Rational(3)), Sense::kEqual,
+                   Rational(2), "fix_a");
+  m.add_constraint(LinearExpr().add(b, Rational(1)).add(c, Rational(2)),
+                   Sense::kLessEqual, Rational(4), "cap");
+  auto sol = expect_certified(m, Rational(26, 3));
+  EXPECT_EQ(sol.primal, (std::vector<Rational>{Rational(2, 3), Rational(4),
+                                               Rational(0)}));
+  EXPECT_TRUE(ExactSolver::verify_certificate(ExpandedModel::from(m),
+                                              sol.primal, sol.dual));
+}
+
+TEST(Presolve, DuplicateEqualityConflictProvesInfeasible) {
+  // x + y == 2 and 2x + 2y == 6: proportional equalities that disagree.
+  Model m;
+  VarId x = m.add_variable("x");
+  VarId y = m.add_variable("y");
+  m.add_constraint(LinearExpr().add(x, Rational(1)).add(y, Rational(1)),
+                   Sense::kEqual, Rational(2));
+  m.add_constraint(LinearExpr().add(x, Rational(2)).add(y, Rational(2)),
+                   Sense::kEqual, Rational(6));
+  expect_proved_infeasible(m);
+}
+
+TEST(Presolve, EmptyRowInfeasibilityAfterSubstitution) {
+  // a == 1 substituted into 2a <= 1 leaves 0 <= -1.
+  Model m;
+  VarId a = m.add_variable("a");
+  m.set_objective(a, Rational(1));
+  m.add_constraint(LinearExpr().add(a, Rational(1)), Sense::kEqual,
+                   Rational(1));
+  m.add_constraint(LinearExpr().add(a, Rational(2)), Sense::kLessEqual,
+                   Rational(1));
+  expect_proved_infeasible(m);
+}
+
+TEST(Presolve, NegativeFixProvesInfeasible) {
+  // 2a == -3 would need a < 0.
+  Model m;
+  VarId a = m.add_variable("a");
+  VarId b = m.add_variable("b");
+  m.set_objective(b, Rational(1));
+  m.add_constraint(LinearExpr().add(a, Rational(2)), Sense::kEqual,
+                   Rational(-3));
+  m.add_constraint(LinearExpr().add(b, Rational(1)), Sense::kLessEqual,
+                   Rational(1));
+  expect_proved_infeasible(m);
 }
 
 TEST(ExactSolver, DegenerateModelWarmReSolveCertifies) {

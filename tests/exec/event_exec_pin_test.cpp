@@ -5,7 +5,9 @@
 // pure function of its inputs. This suite folds each report into one
 // FNV-1a digest (doubles by bit pattern, so a last-bit change anywhere
 // fails it) and pins the digests of the paper toys, a random n=16 scatter
-// clean and with a quarter of its links at half rate, and seeded chaos
+// clean and with a quarter of its links at half rate, two dense random n=12
+// reduces (one at half rate, one whose exact stock needs more than 64
+// bits of common-denominator units), and seeded chaos
 // scenarios with loss, jitter, collapse, slowdown, blackout and a run
 // deadline. Any change to admission order or timing in exec/engine.cpp
 // that is not bit-identical shows up here.
@@ -179,6 +181,14 @@ std::vector<PinCase> corpus() {
     opt.link_rate_scale = quarter_at_half_rate(inst.platform.num_edges());
     return sim::simulate_reduce_execution(inst, plan, opt);
   }});
+  // Dense n=12, 5 parts, seed 14: counted in units of the LCM of its
+  // type's denominators (58 bits), one transfer's messages per period take
+  // 75 bits.
+  cases.push_back({"random12_seed14_reduce", [] {
+    const auto inst = testing::random_reduce_instance(14, 12, 5);
+    const auto plan = core::optimize_reduce(inst);
+    return sim::simulate_reduce_execution(inst, plan, pin_options());
+  }});
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     cases.push_back({"chaos" + std::to_string(seed) + "_random16_scatter",
                      [seed] {
@@ -217,6 +227,7 @@ constexpr Pin kPins[] = {
     {"random16_scatter", 0xa6dc50c18f79cfa1ULL},
     {"random16_scatter_half_rate", 0x6c29d0237e7804d3ULL},
     {"random12_reduce_half_rate", 0x76e1d86e4722249dULL},
+    {"random12_seed14_reduce", 0xbaad038a2dfc7df9ULL},
     {"chaos0_random16_scatter", 0x3e604fd276c1f995ULL},
     {"chaos1_random16_scatter", 0x23eb3db53bb3a8c8ULL},
     {"chaos2_random16_scatter", 0x79f7f65cce1fbd08ULL},

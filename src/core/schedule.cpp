@@ -34,12 +34,22 @@ bool PeriodicSchedule::has_integral_messages() const {
 
 Rational PeriodicSchedule::delivered_per_period(
     std::size_t type, const graph::Digraph& graph) const {
-  Rational total(0);
-  if (type >= sink_of_type.size()) return total;
-  const graph::NodeId sink = sink_of_type[type];
+  if (type >= sink_of_type.size()) return Rational(0);
+  return delivered_per_period(graph)[type];
+}
+
+std::vector<Rational> PeriodicSchedule::delivered_per_period(
+    const graph::Digraph& graph) const {
+  std::vector<Rational> total(sink_of_type.size());
   for (const CommActivity& c : comms) {
-    if (c.type == type && graph.edge(c.edge).dst == sink) {
-      total += c.messages;
+    if (c.type < total.size() &&
+        graph.edge(c.edge).dst == sink_of_type[c.type]) {
+      total[c.type] += c.messages;
+    }
+  }
+  for (const CompActivity& c : comps) {
+    if (c.product < total.size() && c.node == sink_of_type[c.product]) {
+      total[c.product] += c.count;
     }
   }
   return total;

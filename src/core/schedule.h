@@ -72,10 +72,14 @@ struct PeriodicSchedule {
   /// messages (no message is split across time slices).
   [[nodiscard]] bool has_integral_messages() const;
 
-  /// Messages of `type` delivered per period into its sink
-  /// (sink_of_type); 0 for a type without a sink.
+  /// Messages of `type` that reach its sink (sink_of_type) per period:
+  /// wire arrivals at the sink plus merges there whose product is the type.
+  /// 0 for a type without a sink.
   [[nodiscard]] Rational delivered_per_period(std::size_t type,
                                               const graph::Digraph& graph) const;
+  /// delivered_per_period of every type, in one pass over the activities.
+  [[nodiscard]] std::vector<Rational> delivered_per_period(
+      const graph::Digraph& graph) const;
 
   /// Human-readable timeline (one line per activity, sorted by start time).
   [[nodiscard]] std::string to_string() const;

@@ -138,9 +138,6 @@ ExecProgram compile(const FrontEnd& in, const core::PeriodicSchedule& schedule,
   program.op_payload_bytes = in.messages_per_op * program.bytes_per_message;
 
   // Transfers in schedule order; they are chunked once pacing is known.
-  // `arrived` sums, per sink type, what reaches the sink per period by wire
-  // or by a local merge.
-  std::vector<Rational> arrived(program.num_types);
   double total_wire = 0.0;
   program.transfers.reserve(schedule.comms.size());
   for (std::size_t i : schedule_order(schedule.comms)) {
@@ -154,7 +151,6 @@ ExecProgram compile(const FrontEnd& in, const core::PeriodicSchedule& schedule,
     t.messages = act.messages;
     t.wire_bytes = wire_bytes(act.messages, program.bytes_per_message);
     total_wire += static_cast<double>(t.wire_bytes);
-    if (program.sink_of_type[t.type] == t.dst) arrived[t.type] += t.messages;
     program.transfers.push_back(std::move(t));
   }
 
@@ -177,17 +173,15 @@ ExecProgram compile(const FrontEnd& in, const core::PeriodicSchedule& schedule,
     program.actual_rate[e] = program.modeled_rate[e] * rate_scale(options, e);
   }
 
-  // Merges whose product reaches its sink complete operations locally.
   for (const core::CompActivity& act : schedule.comps) {
     for (const std::size_t type : {act.left, act.right, act.product}) {
       check_type(type);
     }
-    if (program.sink_of_type[act.product] == act.node) {
-      arrived[act.product] += act.count;
-    }
   }
-  // An operation needs every sink type. Verify mode also needs each count
-  // whole (message identity is whole).
+  // An operation needs every sink type, by wire or by a local merge. Verify
+  // mode also needs each count whole (message identity is whole).
+  const std::vector<Rational> arrived =
+      schedule.delivered_per_period(pf.graph());
   bool first = true;
   for (std::size_t k = 0; k < program.num_types; ++k) {
     if (program.sink_of_type[k] == graph::kInvalidId) continue;

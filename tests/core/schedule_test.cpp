@@ -57,9 +57,18 @@ TEST(Schedule, DeliveredPerPeriodSumsInboundOfType) {
   s.comms.push_back(CommActivity{e21, 7, R("1/2"), R("1"), R("1/3")});
   s.comms.push_back(CommActivity{e01, 8, R("1/2"), R("1"), R("5")});
   s.comms.push_back(CommActivity{e21, 6, R("0"), R("1/2"), R("4")});
-  EXPECT_EQ(s.delivered_per_period(7, g), R("7/3"));
+  // A merge at the sink producing type 7 delivers too; one at node 2 does
+  // not, and neither do its operand types.
+  s.comps.push_back(CompActivity{1, 0, R("0"), R("1/4"), R("1/4"), 6, 8, 7});
+  s.comps.push_back(CompActivity{2, 0, R("0"), R("1/4"), R("9"), 6, 8, 7});
+  EXPECT_EQ(s.delivered_per_period(7, g), R("31/12"));
   EXPECT_EQ(s.delivered_per_period(8, g), R("5"));
   EXPECT_EQ(s.delivered_per_period(6, g), R("0"));
+  const std::vector<Rational> all = s.delivered_per_period(g);
+  ASSERT_EQ(all.size(), 9u);
+  EXPECT_EQ(all[7], R("31/12"));
+  EXPECT_EQ(all[8], R("5"));
+  EXPECT_EQ(all[6], R("0"));
 }
 
 TEST(Schedule, ToStringSortsByStart) {

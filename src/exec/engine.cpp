@@ -21,6 +21,30 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Exact stock of one type k, counted in units of 1/D_k messages, where D_k
+/// is the LCM of the denominators of every quantity of type k the engine
+/// adds or compares (Engine::init_stock). Every step then adds and compares
+/// integers; a D_k, quantity or running sum past 127 bits ends the run with
+/// a typed kCountOverflow.
+using Units = __int128;
+
+/// `v` in units of 1/den, where den is a multiple of v's denominator;
+/// empty when the result does not fit 127 bits.
+std::optional<Units> to_units(const Rational& v, Units den) {
+  const std::optional<Units> num = v.num().to_int128();
+  const std::optional<Units> vden = v.den().to_int128();
+  Units out = 0;
+  if (!num || !vden || __builtin_mul_overflow(*num, den / *vden, &out)) {
+    return std::nullopt;
+  }
+  return out;
+}
+
+/// A merge slice's count in the units of its left, right and product types.
+struct SliceUnits {
+  Units left = 0, right = 0, product = 0;
+};
+
 /// Deterministic payload byte for (type, message id): lets the receiver
 /// detect misrouted or corrupted chunks without any side channel.
 std::uint8_t pattern_byte(std::size_t type, std::uint64_t id) {
@@ -117,8 +141,8 @@ class Engine {
 
     const std::size_t nodes = p_.num_nodes();
     faults_ = FaultRuntime(opt_.faults, p_.platform->num_edges(), nodes);
-    avail_.assign(nodes, std::vector<Rational>(p_.num_types));
-    delivered_.assign(p_.num_types, Rational(0));
+    init_stock();
+    if (done_) return;
     delivered_floor_.assign(p_.num_types, 0);
     for (std::size_t k = 0; k < p_.num_types; ++k) {
       if (p_.sink_of_type[k] != graph::kInvalidId) full_type_ = k;
@@ -160,28 +184,17 @@ class Engine {
     edge_bytes_t0_ = edge_bytes_;
     edge_busy_t0_ = edge_busy_;
 
-    // Pipeline priming: one full period of everything each node consumes, so
-    // period p always works on stock produced by period p-1 and intra-period
-    // availability waits never cycle (deadlock freedom; warmup absorbs the
-    // resulting transient).
-    for (const TransferTemplate& t : p_.transfers) {
-      if (!unlimited(t.src, t.type)) avail_[t.src][t.type] += t.messages;
-    }
-    for (const ComputeTemplate& c : p_.comps) {
-      if (!unlimited(c.node, c.left)) avail_[c.node][c.left] += c.count;
-      if (!unlimited(c.node, c.right)) avail_[c.node][c.right] += c.count;
-    }
+    // Exactly-once identities of the primed stock (init_stock).
     if (verify_) {
       for (graph::NodeId u = 0; u < nodes; ++u) {
         for (std::size_t k = 0; k < p_.num_types; ++k) {
-          const Rational& primed = avail_[u][k];
-          if (primed == Rational(0)) continue;
-          if (!primed.is_integer()) {
+          const Units primed = avail_[u][k];
+          if (primed == 0) continue;
+          if (primed % den_[k] != 0) {
             verify_ = false;
             break;
           }
-          const auto count =
-              static_cast<std::uint64_t>(primed.num().to_int64());
+          const auto count = static_cast<std::uint64_t>(primed / den_[k]);
           idq_[u][k].emplace_back(next_id_[k], count);
           next_id_[k] += count;
         }
@@ -201,6 +214,94 @@ class Engine {
     wake_.assign(ports_.size(), kInf);
     from_now_.assign(ports_.size(), 0);
     for (std::size_t p = 0; p < ports_.size(); ++p) mark(p);
+  }
+
+  /// Sets up the exact stock (see Units): each type's D_k, every chunk and
+  /// slice quantity in its type's units, and the pipeline priming. A D_k,
+  /// quantity or primed sum past 127 bits ends the run with a typed
+  /// kCountOverflow.
+  void init_stock() {
+    std::vector<num::BigInt> lcm(p_.num_types, num::BigInt(1));
+    const auto note = [&lcm](std::size_t k, const Rational& v) {
+      lcm[k] = num::BigInt::lcm(lcm[k], v.den());
+    };
+    for (const TransferTemplate& t : p_.transfers) {
+      note(t.type, t.messages);
+      for (const ChunkSpec& c : t.chunks) note(t.type, c.messages);
+    }
+    for (const ComputeTemplate& ct : p_.comps) {
+      for (const std::size_t k : {ct.left, ct.right, ct.product}) {
+        note(k, ct.count);
+        for (const ComputeSlice& s : ct.slices) note(k, s.count);
+      }
+    }
+    den_.resize(p_.num_types);
+    for (std::size_t k = 0; k < p_.num_types; ++k) {
+      const std::optional<Units> d = lcm[k].to_int128();
+      if (!d) {
+        set_fault(0.0, FaultCode::kCountOverflow,
+                  "type " + std::to_string(k) + " needs a " +
+                      std::to_string(lcm[k].bit_length()) +
+                      "-bit common denominator; exact stock holds 127 bits");
+        return;
+      }
+      den_[k] = *d;
+    }
+    const auto units = [&](std::size_t k, const Rational& v) {
+      const std::optional<Units> u = to_units(v, den_[k]);
+      if (!u && !done_) {
+        set_fault(0.0, FaultCode::kCountOverflow,
+                  "a quantity of type " + std::to_string(k) +
+                      " exceeds 127 bits in units of 1/" + lcm[k].to_string());
+      }
+      return u.value_or(0);
+    };
+    // Pipeline priming: one full period of everything each node consumes, so
+    // period p always works on stock produced by period p-1 and intra-period
+    // availability waits never cycle (deadlock freedom; warmup absorbs the
+    // resulting transient).
+    avail_.assign(p_.num_nodes(), std::vector<Units>(p_.num_types, 0));
+    delivered_.assign(p_.num_types, 0);
+    chunk_units_.resize(p_.transfers.size());
+    for (std::size_t i = 0; i < p_.transfers.size(); ++i) {
+      const TransferTemplate& t = p_.transfers[i];
+      if (!unlimited(t.src, t.type)) {
+        credit(avail_[t.src][t.type], units(t.type, t.messages), 0.0, t.type);
+      }
+      chunk_units_[i].reserve(t.chunks.size());
+      for (const ChunkSpec& c : t.chunks) {
+        chunk_units_[i].push_back(units(t.type, c.messages));
+      }
+    }
+    slice_units_.resize(p_.comps.size());
+    for (std::size_t i = 0; i < p_.comps.size(); ++i) {
+      const ComputeTemplate& ct = p_.comps[i];
+      for (const std::size_t k : {ct.left, ct.right}) {
+        if (!unlimited(ct.node, k)) {
+          credit(avail_[ct.node][k], units(k, ct.count), 0.0, k);
+        }
+      }
+      slice_units_[i].reserve(ct.slices.size());
+      for (const ComputeSlice& s : ct.slices) {
+        slice_units_[i].push_back({units(ct.left, s.count),
+                                   units(ct.right, s.count),
+                                   units(ct.product, s.count)});
+      }
+    }
+  }
+
+  /// stock += v and stock -= v, exact: a result past 127 bits ends the run
+  /// with a typed kCountOverflow instead of wrapping.
+  void credit(Units& stock, Units v, double now, std::size_t type) {
+    if (__builtin_add_overflow(stock, v, &stock)) stock_overflow(now, type);
+  }
+  void debit(Units& stock, Units v, double now, std::size_t type) {
+    if (__builtin_sub_overflow(stock, v, &stock)) stock_overflow(now, type);
+  }
+  void stock_overflow(double now, std::size_t type) {
+    set_fault(now, FaultCode::kCountOverflow,
+              "exact stock of type " + std::to_string(type) +
+                  " exceeds 127 bits");
   }
 
   [[nodiscard]] bool unlimited(graph::NodeId u, std::size_t type) const {
@@ -358,7 +459,8 @@ class Engine {
     if (channels_[tmpl].size() + reserved_[tmpl] >= channels_[tmpl].capacity()) {
       return false;  // backpressure: the receiver's pop marks this port
     }
-    if (!unlimited(u, t.type) && avail_[u][t.type] < c.messages) {
+    const Units need = chunk_units_[tmpl][port.sub];
+    if (!unlimited(u, t.type) && avail_[u][t.type] < need) {
       return false;  // the producer's commit marks this port
     }
     const double slack = kBurstChunks * c.seconds;
@@ -416,7 +518,7 @@ class Engine {
     port.attempts = 0;
     port.retry_at = 0.0;
     if (!unlimited(u, t.type)) {
-      avail_[u][t.type] -= c.messages;
+      debit(avail_[u][t.type], need, now, t.type);
       mark_if_timed(port_of(u, StepKind::kComp));
     }
     edge_bytes_[t.edge] += c.bytes;
@@ -467,12 +569,13 @@ class Engine {
     out.tmpl = tmpl;
     out.chunk = channels_[tmpl].pop();
     mark(port_of(t.src, StepKind::kSend));
-    avail_[u][t.type] += c.messages;
+    const Units got = chunk_units_[tmpl][port.sub];
+    credit(avail_[u][t.type], got, now, t.type);
     mark(port_of(u, StepKind::kSend));
     mark(port_of(u, StepKind::kComp));
     const bool sink = p_.sink_of_type[t.type] == u;
     if (sink) {
-      delivered_[t.type] += c.messages;
+      credit(delivered_[t.type], got, now, t.type);
       update_ops(t.type, now);
     }
     if (verify_) {
@@ -495,8 +598,9 @@ class Engine {
     PortRt& port = ports_[p];
     const ComputeTemplate& ct = p_.comps[tmpl];
     const ComputeSlice& s = ct.slices[port.sub];
-    if (!unlimited(u, ct.left) && avail_[u][ct.left] < s.count) return false;
-    if (!unlimited(u, ct.right) && avail_[u][ct.right] < s.count) return false;
+    const SliceUnits& su = slice_units_[tmpl][port.sub];
+    if (!unlimited(u, ct.left) && avail_[u][ct.left] < su.left) return false;
+    if (!unlimited(u, ct.right) && avail_[u][ct.right] < su.right) return false;
     const double slack = kBurstChunks * s.seconds;
     const double rt = port.tat - slack;
     if (rt > now) {
@@ -507,8 +611,12 @@ class Engine {
     // stretches the slice by 1/scale, same convention as link collapse.
     double seconds = s.seconds;
     if (faults_.active()) seconds /= faults_.node_scale(u, now);
-    if (!unlimited(u, ct.left)) avail_[u][ct.left] -= s.count;
-    if (!unlimited(u, ct.right)) avail_[u][ct.right] -= s.count;
+    if (!unlimited(u, ct.left)) {
+      debit(avail_[u][ct.left], su.left, now, ct.left);
+    }
+    if (!unlimited(u, ct.right)) {
+      debit(avail_[u][ct.right], su.right, now, ct.right);
+    }
     mark_if_timed(port_of(u, StepKind::kSend));
     check_occupancy(port, now, slack);
     const double prev_end = port.tat;
@@ -516,10 +624,10 @@ class Engine {
     port.busy += seconds;
     trace_span(p, "comp", prev_end, port.tat, seconds, 0, false);
     if (p_.sink_of_type[ct.product] == u) {
-      delivered_[ct.product] += s.count;
+      credit(delivered_[ct.product], su.product, now, ct.product);
       update_ops(ct.product, now);
     } else {
-      avail_[u][ct.product] += s.count;
+      credit(avail_[u][ct.product], su.product, now, ct.product);
       mark(port_of(u, StepKind::kSend));
     }
     out.kind = StepKind::kComp;
@@ -574,13 +682,17 @@ class Engine {
   /// count (flow: the slowest commodity; reduce: the full interval) and
   /// stamp the window edges.
   void update_ops(std::size_t type, double now) {
-    const num::BigInt whole = delivered_[type].floor();
-    if (!whole.fits_int64()) {
+    const Units d = den_[type];
+    Units whole = delivered_[type] / d;
+    if (whole * d > delivered_[type]) --whole;  // floor, not truncation
+    if (whole > std::numeric_limits<std::int64_t>::max() ||
+        whole < std::numeric_limits<std::int64_t>::min()) {
       set_fault(now, FaultCode::kCountOverflow,
                 "deliveries overflow the 64-bit operation counter");
       return;
     }
-    delivered_floor_[type] = static_cast<std::uint64_t>(whole.to_int64());
+    delivered_floor_[type] =
+        static_cast<std::uint64_t>(static_cast<std::int64_t>(whole));
     ops_done_ = p_.kind == ExecProgram::Kind::kFlow
                     ? *std::min_element(delivered_floor_.begin(),
                                         delivered_floor_.end())
@@ -902,9 +1014,14 @@ class Engine {
   double last_progress_ = 0.0;
   std::size_t workers_used_ = 1;
 
-  std::vector<std::vector<Rational>> avail_;
-  std::vector<Rational> delivered_;
-  std::vector<std::uint64_t> delivered_floor_;  // floor(delivered_), per type
+  // Exact stock in units (init_stock): D_k per type, each chunk and slice
+  // quantity in its type's units, and the running stock per node and type.
+  std::vector<Units> den_;
+  std::vector<std::vector<Units>> chunk_units_;  // [transfer][chunk]
+  std::vector<std::vector<SliceUnits>> slice_units_;  // [merge][slice]
+  std::vector<std::vector<Units>> avail_;
+  std::vector<Units> delivered_;
+  std::vector<std::uint64_t> delivered_floor_;  // floor(delivered_ / D_k)
   std::size_t full_type_ = 0;  // reduce: the type whose deliveries count
   std::vector<std::vector<char>> forwards_;
   std::vector<BoundedChannel> channels_;

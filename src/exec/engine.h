@@ -13,9 +13,11 @@
 // Each node owns three ports — OUT (sends), IN (receives), CPU (reduce
 // merges) — and each port replays its schedule-ordered activity list
 // cyclically, one chunk/slice at a time. A port step is ADMISSIBLE when
-//   * structural conditions hold: input data available (exact Rational
-//     message bookkeeping — bytes are only rounded for the actual memcpy),
-//     channel slot free (sends), chunk arrived (receives);
+//   * structural conditions hold: input data available (exact integer
+//     stock: type k's messages are counted in signed 128-bit units of
+//     1/D_k, D_k the LCM of the denominators of the type's quantities —
+//     bytes are only rounded for the actual memcpy), channel slot free
+//     (sends), chunk arrived (receives);
 //   * and its ready time has passed: port pacing (GCRA theoretical-arrival-
 //     time with a small burst slack so condition-variable wake jitter does
 //     not leak throughput) plus the edge token bucket (sends) plus the wire
@@ -39,6 +41,9 @@
 // cycle; sends only wait on time or a draining channel. It does not for
 // every plan: dense random_reduce n=12, 5 parts, seed 28 and n=16, 6 parts,
 // seed 3 end in kDeadlock on the event backend (ROADMAP item 1).
+//
+// Stock units: a D_k, converted quantity or running sum that does not fit
+// 127 bits ends the run with a typed kCountOverflow, never a wrapped count.
 
 #include <cstdint>
 #include <deque>

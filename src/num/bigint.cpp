@@ -66,6 +66,16 @@ std::int64_t BigInt::to_int64() const {
                    : static_cast<std::int64_t>(mag);
 }
 
+std::optional<__int128> BigInt::to_int128() const {
+  if (limbs_.size() > 4) return std::nullopt;
+  unsigned __int128 mag = 0;
+  for (std::size_t i = limbs_.size(); i-- > 0;) mag = (mag << 32) | limbs_[i];
+  const unsigned __int128 limit = static_cast<unsigned __int128>(1) << 127;
+  if (negative_ ? mag > limit : mag >= limit) return std::nullopt;
+  // Negate in unsigned space: -2^127 has no positive counterpart.
+  return static_cast<__int128>(negative_ ? ~mag + 1 : mag);
+}
+
 double BigInt::to_double() const {
   double result = 0.0;
   for (auto it = limbs_.rbegin(); it != limbs_.rend(); ++it) {

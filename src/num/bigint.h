@@ -19,6 +19,7 @@
 #include <compare>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -73,6 +74,9 @@ class BigInt {
   [[nodiscard]] bool fits_int64() const;
   /// Value as int64; requires fits_int64().
   [[nodiscard]] std::int64_t to_int64() const;
+  /// Value as a signed 128-bit integer; empty when it lies outside
+  /// [-2^127, 2^127). Exact, never throws.
+  [[nodiscard]] std::optional<__int128> to_int128() const;
   /// Nearest double (may overflow to +/-inf for huge values).
   [[nodiscard]] double to_double() const;
   /// Decimal representation, e.g. "-123".

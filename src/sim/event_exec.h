@@ -3,7 +3,7 @@
 //
 // The deterministic twin of exec/threaded_executor.h: the same compiled
 // ExecProgram, the same admission rules (one-port pacing, token buckets,
-// bounded channels, exact Rational availability), but a single loop that
+// bounded channels, exact integer stock units), but a single loop that
 // jumps a virtual clock to the next ready instant instead of sleeping real
 // threads, and no payload allocation. Results are bit-reproducible, free of
 // scheduler jitter, and fill the same ExecReport — so the gap between this

@@ -369,26 +369,61 @@ TEST(ThreadedExecTest, RandomHeterogeneous16ScatterMeetsEfficiencyFloor) {
 TEST(ThreadedExecTest, CountOverflowIsATypedFaultOnBothBackends) {
   const auto inst = platform::fig2_toy();
   const auto plan = core::optimize_scatter(inst);
-  ExecProgram program =
+  const ExecProgram fig2 =
       exec::compile_flow_program(inst.platform, plan.flow, plan.schedule);
+  ASSERT_FALSE(fig2.transfers.empty());
+  ASSERT_FALSE(fig2.transfers.front().chunks.empty());
   ExecOptions opt = quick_options();
   opt.warmup_periods = 4;
   opt.measure_periods = 16;
   // 20 periods of just over 2^63/20 operations: the window's operation
   // count no longer fits the engine's 64-bit counters.
-  program.ops_per_period =
+  ExecProgram ops = fig2;
+  ops.ops_per_period =
       num::Rational(num::BigInt::pow(num::BigInt(2), 63), num::BigInt(20)) +
       num::Rational(1);
-  for (const bool threaded : {false, true}) {
-    SCOPED_TRACE(threaded ? "threaded" : "event");
-    ExecReport report;
-    ASSERT_NO_THROW(report = threaded ? exec::execute(program, opt)
-                                      : sim::simulate_execution(program, opt));
-    EXPECT_EQ(report.fault.code, exec::FaultCode::kCountOverflow)
-        << report.fault.to_string();
-    EXPECT_STREQ(exec::fault_code_name(report.fault.code), "count-overflow");
-    EXPECT_FALSE(report.ok());
-    EXPECT_EQ(report.operations, 0u);
+  // The first transfer's chunks carry shares 1/p of its messages, one per
+  // prime, and one more chunk the rest: its total is unchanged, and its
+  // type's common denominator D_k gains every prime as a factor.
+  const auto split = [&fig2](const std::vector<std::int64_t>& primes) {
+    ExecProgram program = fig2;
+    exec::TransferTemplate& t = program.transfers.front();
+    t.chunks.assign(primes.size() + 1, t.chunks.front());
+    num::Rational rest = t.messages;
+    for (std::size_t i = 0; i < primes.size(); ++i) {
+      t.chunks[i].messages = t.messages * num::Rational(1, primes[i]);
+      rest -= t.chunks[i].messages;
+    }
+    t.chunks.back().messages = rest;
+    return program;
+  };
+  // Three primes near 2^45: D_k needs more than 127 bits, past the
+  // engine's exact 128-bit stock units.
+  const ExecProgram wide =
+      split({35184372088777, 35184372088763, 35184372088751});
+  // Two primes near 2^61: D_k fits (124 bits), but the sink's stock gains
+  // about 2^124 units a period and passes 127 bits mid-run.
+  const ExecProgram deep = split({2305843009213693951, 2305843009213693921});
+  const struct {
+    const char* name;
+    const ExecProgram& program;
+  } cases[] = {{"operations", ops}, {"denominator", wide}, {"stock", deep}};
+  for (const auto& c : cases) {
+    for (const bool threaded : {false, true}) {
+      SCOPED_TRACE(std::string(c.name) + (threaded ? " threaded" : " event"));
+      ExecReport report;
+      ASSERT_NO_THROW(report = threaded
+                                   ? exec::execute(c.program, opt)
+                                   : sim::simulate_execution(c.program, opt));
+      EXPECT_EQ(report.fault.code, exec::FaultCode::kCountOverflow)
+          << report.fault.to_string();
+      EXPECT_STREQ(exec::fault_code_name(report.fault.code),
+                   "count-overflow");
+      EXPECT_FALSE(report.ok());
+      EXPECT_EQ(report.operations, 0u);
+      // Setup catches the first two; the running sum overflows mid-run.
+      EXPECT_EQ(report.fault.at_seconds > 0.0, &c.program == &deep);
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <compare>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -224,9 +225,10 @@ TEST(BigInt, GcdLcmAndNormalizationMatchInt128Reference) {
   }
 }
 
-// +, -, *, /, %, <=> and to_string against signed __int128 at the limb and
-// word boundaries and on seeded 1- to 4-limb operands. Only pairs whose
-// result fits 127 bits are compared; products take factors below 2^63.
+// +, -, *, /, %, <=>, to_string and to_int128 against signed __int128 at
+// the limb and word boundaries and on seeded 1- to 4-limb operands. Only
+// pairs whose result fits 127 bits are compared; products take factors
+// below 2^63.
 using i128 = __int128;
 
 BigInt big_of_signed(i128 v) {
@@ -242,7 +244,8 @@ TEST(BigInt, ArithmeticMatchesInt128Reference) {
   const i128 one = 1;
   std::vector<i128> values = {0, (one << 64) - 1};
   for (const i128 m : {one, (one << 31) - 1, one << 31, (one << 32) - 1,
-                       one << 32, (one << 63) - 1, one << 63, one << 95}) {
+                       one << 32, (one << 63) - 1, one << 63, one << 64,
+                       one << 95}) {
     values.push_back(m);
     values.push_back(-m);
   }
@@ -264,6 +267,9 @@ TEST(BigInt, ArithmeticMatchesInt128Reference) {
   for (const i128 a : values) {
     const BigInt ba = big_of_signed(a);
     ASSERT_EQ(ba.to_string(), i128_text(a));
+    const std::optional<i128> back = ba.to_int128();
+    ASSERT_TRUE(back.has_value()) << i128_text(a);
+    EXPECT_EQ(i128_text(*back), i128_text(a));
     for (const i128 b : values) {
       SCOPED_TRACE("a=" + i128_text(a) + " b=" + i128_text(b));
       const BigInt bb = big_of_signed(b);
@@ -284,6 +290,21 @@ TEST(BigInt, ArithmeticMatchesInt128Reference) {
       EXPECT_EQ(ba <=> bb, a <=> b);
     }
   }
+  // to_int128 is exact up to both ends of [-2^127, 2^127) and refuses one
+  // past either end.
+  const u128 two127 = u128{1} << 127;
+  const i128 max = static_cast<i128>(two127 - 1);
+  const std::optional<i128> high = big_of(two127 - 1).to_int128();
+  ASSERT_TRUE(high.has_value());
+  EXPECT_TRUE(*high == max);
+  // -2^127 has no positive counterpart in i128: build it from 2^127.
+  const std::optional<i128> low = (-big_of(two127)).to_int128();
+  ASSERT_TRUE(low.has_value());
+  EXPECT_TRUE(*low == -max - 1);
+  EXPECT_FALSE(big_of(two127).to_int128().has_value());
+  EXPECT_FALSE((-big_of(two127) - BigInt(1)).to_int128().has_value());
+  EXPECT_FALSE(BigInt::pow(BigInt(2), 128).to_int128().has_value());
+  EXPECT_FALSE((-BigInt::pow(BigInt(2), 128)).to_int128().has_value());
 }
 
 TEST(BigInt, Pow) {
